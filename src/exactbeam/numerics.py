@@ -1,12 +1,15 @@
 """Foundational numerics: Hermite polynomials, quadrature, finite-difference stencils.
 
-Everything here is a pure function of its inputs; no caching, no shared
-mutable state, so all routines are safe to call from parallel sweeps.
+Everything here is a pure function of its inputs. The only shared state
+is a per-node-count cache of the Gauss-Legendre rule on [-1, 1], whose
+arrays are read-only, so all routines stay safe to call from parallel
+sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +100,20 @@ class QuadratureSpec:
         return QuadratureSpec(self.scheme, node_count, self.domain)
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per node count."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _nodes_weights(scheme: str, n: int, lo: float, hi: float):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     if scheme == "gauss-legendre-on-interval":
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _legendre_rule(n)
         return mid + half * x, half * w
     if scheme == "tanh-sinh":
         # uniform trapezoid in the u variable; U = 3 keeps the weight tail
@@ -194,25 +206,29 @@ class StencilSpec:
         return w / self.step**2
 
 
-def _apply_stencil(f, at, step, weights, reach):
+def _apply_stencil(f, at, step, weights, reach, centre=None):
     at = np.asarray(at, dtype=float)
     total = None
     for k, w in zip(range(-reach, reach + 1), weights):
         if w == 0.0:
             continue
-        term = w * np.asarray(f(at + k * step))
+        value = centre if k == 0 and centre is not None else f(at + k * step)
+        term = w * np.asarray(value)
         total = term if total is None else total + term
     return total
 
 
-def second_derivative(f, at, spec: StencilSpec):
+def second_derivative(f, at, spec: StencilSpec, centre=None):
     """Central finite-difference estimate of f'' at ``at``.
 
     ``f`` may return real or complex values and must accept ndarray input
     of the same shape as ``at``. Error is O(step**accuracy_order).
+    ``centre``, if given, is the already evaluated ``f(at)``; it replaces
+    the centre-node call, which gives the same bits since
+    ``at + 0*step == at``.
     """
     weights, reach = _D2_WEIGHTS[spec.accuracy_order]
-    return _apply_stencil(f, at, spec.step, weights / spec.step**2, reach)
+    return _apply_stencil(f, at, spec.step, weights / spec.step**2, reach, centre)
 
 
 def first_derivative(f, at, spec: StencilSpec):

@@ -11,11 +11,9 @@ frozen dataclasses with ``to_dict`` for JSON export.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, minimize_scalar
 
 from .beam import (
     BeamParams,
@@ -57,24 +55,37 @@ NODE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Residual maxima of one equation over a point sample.
+
+    ``max_relative_residual`` divides by the field at each point (the
+    local scale named by ``normalization``); it is a diagnostic that
+    grows without bound near field nodes. ``max_peak_residual`` divides
+    the largest residual by the field's peak scale over the sample, so
+    it does not; the verify suites gate on it.
+    """
+
     equation: str
     point_count: int
     max_relative_residual: float
     normalization: str
     skipped_points: int = 0
     note: str = ""
+    max_peak_residual: float | None = None
 
     def __post_init__(self):
         if self.equation not in EQUATION_LABELS:
             raise ValueError(f"unknown equation label {self.equation!r}")
         if self.max_relative_residual < 0:
             raise ValueError("max_relative_residual must be non-negative")
+        if self.max_peak_residual is not None and self.max_peak_residual < 0:
+            raise ValueError("max_peak_residual must be non-negative")
 
     def to_dict(self) -> dict:
         return {
             "equation": self.equation,
             "point_count": self.point_count,
             "max_relative_residual": self.max_relative_residual,
+            "max_peak_residual": self.max_peak_residual,
             "normalization": self.normalization,
             "skipped_points": self.skipped_points,
             "note": self.note,
@@ -229,14 +240,17 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
                        equation: str = "full_wave_eq1") -> ResidualReport:
     """Max relative residual of the full wave equation over sample points.
 
-    Applies central differences per axis to ``field(p)`` and reports
+    Applies central differences per axis to ``field(p)`` and, with
+    L psi = d2/dx1^2 + d2/dx2^2 + d2/dx3^2 - v^-2 d2/dt^2, reports
 
-        max |d2/dx1^2 + d2/dx2^2 + d2/dx3^2 - v^-2 d2/dt^2| / (k^2 |psi|)
+        max |L psi| / (k^2 |psi|)          (max_relative_residual)
+        max |L psi| / (k^2 max |psi|)      (max_peak_residual)
 
     over the points. Every term of the operator is O(k^2 |psi|) for
-    these carrier-bearing fields, so the normalization cannot produce a
-    false pass where the field is small; points below the node floor
-    are skipped instead.
+    these carrier-bearing fields, so neither normalization can produce
+    a false pass where the field is small. The local ratio skips points
+    below the node floor; next to a node it still measures stencil
+    noise against a vanishing field, which the peak ratio does not.
     """
     defaults = default_wave_steps(params)
     x3_step = defaults["x3_step"] if x3_step is None else x3_step
@@ -249,15 +263,18 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
     keep = mag >= NODE_FLOOR * mag.max()
 
     tr = StencilSpec(transverse_step, accuracy_order)
-    d11 = second_derivative(lambda u: field(SpaceTimePoint(u, x2, x3, t)), x1, tr)
-    d22 = second_derivative(lambda u: field(SpaceTimePoint(x1, u, x3, t)), x2, tr)
+    d11 = second_derivative(lambda u: field(SpaceTimePoint(u, x2, x3, t)), x1, tr, psi)
+    d22 = second_derivative(lambda u: field(SpaceTimePoint(x1, u, x3, t)), x2, tr, psi)
     d33 = second_derivative(
-        lambda u: field(SpaceTimePoint(x1, x2, u, t)), x3, StencilSpec(x3_step, accuracy_order)
+        lambda u: field(SpaceTimePoint(x1, x2, u, t)), x3, StencilSpec(x3_step, accuracy_order),
+        psi,
     )
     dtt = second_derivative(
-        lambda u: field(SpaceTimePoint(x1, x2, x3, u)), t, StencilSpec(t_step, accuracy_order)
+        lambda u: field(SpaceTimePoint(x1, x2, x3, u)), t, StencilSpec(t_step, accuracy_order),
+        psi,
     )
-    residual = np.abs(d11 + d22 + d33 - dtt / params.v**2) / (params.k**2 * mag)
+    operator = np.abs(d11 + d22 + d33 - dtt / params.v**2)
+    residual = operator / (params.k**2 * mag)
 
     skipped = int((~keep).sum())
     note = "" if skipped == 0 else f"{skipped} near-node point(s) skipped"
@@ -268,6 +285,7 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
         normalization="k^2 |psi|",
         skipped_points=skipped,
         note=note,
+        max_peak_residual=float(operator.max() / (params.k**2 * mag.max())),
     )
 
 
@@ -310,12 +328,19 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
     longitudinally): the envelope carries no carrier oscillation, so
     wavelength-scale steps would only amplify rounding noise in its
     slow second derivatives.
+
+    With L phi = d11 + d22 + 2ik d/ds, ``max_peak_residual`` is
+    max |L phi| * w0^2 / max |phi|. Every term of L phi is
+    O(|phi| / w0^2) once lengths are measured in w0 and L_R, so this
+    ratio does not depend on k*w0: a wrong envelope scores the same at
+    every k*w0. The local diagnostic max |L phi| / (k^2 |phi|) instead
+    falls like (k*w0)^-2 and grows without bound near nodes.
     """
     if isinstance(envelope, ModeIndex):
         mode = envelope
         envelope = lambda x1, x2, s: envelope_phi(params, mode, x1, x2, s)
     transverse_step = 1e-3 * params.w0 if transverse_step is None else transverse_step
-    s_step = 3e-3 * params.rayleigh_range if s_step is None else s_step
+    s_step = 1e-3 * params.rayleigh_range if s_step is None else s_step
 
     x1, x2, s = (np.atleast_1d(np.asarray(a, dtype=float)) for a in points)
     phi = np.asarray(envelope(x1, x2, s))
@@ -323,10 +348,11 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
     keep = mag >= NODE_FLOOR * mag.max()
 
     tr = StencilSpec(transverse_step, accuracy_order)
-    d11 = second_derivative(lambda u: envelope(u, x2, s), x1, tr)
-    d22 = second_derivative(lambda u: envelope(x1, u, s), x2, tr)
+    d11 = second_derivative(lambda u: envelope(u, x2, s), x1, tr, phi)
+    d22 = second_derivative(lambda u: envelope(x1, u, s), x2, tr, phi)
     ds = first_derivative(lambda u: envelope(x1, x2, u), s, StencilSpec(s_step, accuracy_order))
-    residual = np.abs(d11 + d22 + 2j * params.k * ds) / (params.k**2 * mag)
+    operator = np.abs(d11 + d22 + 2j * params.k * ds)
+    residual = operator / (params.k**2 * mag)
 
     skipped = int((~keep).sum())
     return ResidualReport(
@@ -336,6 +362,7 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
         normalization="k^2 |phi|",
         skipped_points=skipped,
         note="" if skipped == 0 else f"{skipped} near-node point(s) skipped",
+        max_peak_residual=float(operator.max() * params.w0**2 / mag.max()),
     )
 
 
@@ -351,52 +378,48 @@ def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, x3_step=None,
     The exact envelope depends on (x3, t) only through s = (x3+v*t)/2,
     which forces d/dx3 = v^-1 d/dt and d2/dx3^2 = v^-2 d2/dt^2 on it.
     Both mismatches are reported relative to the larger of the two
-    sides, so a t-independent envelope fails the first-order relation
-    at order unity. ``envelope`` overrides the checked function
-    (callable (x1, x2, x3, t) -> complex), which is how mutants are
-    injected. The two step defaults are deliberately incommensurate so
-    the x3 and t stencils never sample identical s values.
+    sides, pointwise (``max_relative_residual``) and against that
+    scale's maximum over the sample (``max_peak_residual``, which stays
+    meaningful where both sides pass through zero), so a t-independent
+    envelope fails the first-order relation at order unity.
+    ``envelope`` overrides the checked function (callable
+    (x1, x2, x3, t) -> complex), which is how mutants are injected. The
+    two step defaults are deliberately incommensurate so the x3 and t
+    stencils never sample identical s values.
     """
     if envelope is None:
         envelope = lambda x1, x2, x3, t: envelope_phi(
             params, mode, x1, x2, 0.5 * (x3 + params.v * t)
         )
     lr = params.rayleigh_range
-    x3_step = 3e-3 * lr if x3_step is None else x3_step
-    t_step = 4.5e-3 * lr / params.v if t_step is None else t_step
+    x3_step = 1e-3 * lr if x3_step is None else x3_step
+    t_step = 1.5e-3 * lr / params.v if t_step is None else t_step
 
     x1, x2, x3, t = _point_arrays(points)
     sx = StencilSpec(x3_step, accuracy_order)
     st = StencilSpec(t_step, accuracy_order)
 
-    def mismatch(a, b):
+    def mismatch(equation, normalization, a, b):
+        gap = np.abs(a - b)
         denom = np.maximum(np.abs(a), np.abs(b))
         keep = denom >= 1e-12 * denom.max()
-        rel = np.abs(a - b)[keep] / denom[keep]
-        return float(rel.max()), int(keep.sum()), int((~keep).sum())
+        return ResidualReport(
+            equation=equation,
+            point_count=int(keep.sum()),
+            max_relative_residual=float((gap[keep] / denom[keep]).max()),
+            normalization=normalization,
+            skipped_points=int((~keep).sum()),
+            max_peak_residual=float(gap.max() / denom.max()),
+        )
 
+    centre = envelope(x1, x2, x3, t)
     d3 = first_derivative(lambda u: envelope(x1, x2, u, t), x3, sx)
     dt = first_derivative(lambda u: envelope(x1, x2, x3, u), t, st)
-    rel1, n1, sk1 = mismatch(d3, dt / params.v)
+    first = mismatch("symmetry_eq10", "max(|d/dx3|, |v^-1 d/dt|)", d3, dt / params.v)
 
-    d33 = second_derivative(lambda u: envelope(x1, x2, u, t), x3, sx)
-    dtt = second_derivative(lambda u: envelope(x1, x2, x3, u), t, st)
-    rel2, n2, sk2 = mismatch(d33, dtt / params.v**2)
-
-    first = ResidualReport(
-        equation="symmetry_eq10",
-        point_count=n1,
-        max_relative_residual=rel1,
-        normalization="max(|d/dx3|, |v^-1 d/dt|)",
-        skipped_points=sk1,
-    )
-    second = ResidualReport(
-        equation="symmetry_eq11",
-        point_count=n2,
-        max_relative_residual=rel2,
-        normalization="max(|d2/dx3^2|, |v^-2 d2/dt^2|)",
-        skipped_points=sk2,
-    )
+    d33 = second_derivative(lambda u: envelope(x1, x2, u, t), x3, sx, centre)
+    dtt = second_derivative(lambda u: envelope(x1, x2, x3, u), t, st, centre)
+    second = mismatch("symmetry_eq11", "max(|d2/dx3^2|, |v^-2 d2/dt^2|)", d33, dtt / params.v**2)
     return first, second
 
 
@@ -411,10 +434,9 @@ def _default_gram_quad(params: BeamParams, s: float, node_count: int = 96) -> Qu
 
 
 def _gram_matrix(params, modes, s, quad, constants):
-    x1, w1 = quadrature_nodes(quad, 0)
-    x2, w2 = quadrature_nodes(quad, 0)
+    x, w = quadrature_nodes(quad, 0)
     fields = [
-        envelope_phi(params, mode, x1[:, None], x2[None, :], s, c_mn=constants[i])
+        envelope_phi(params, mode, x[:, None], x[None, :], s, c_mn=constants[i])
         for i, mode in enumerate(modes)
     ]
     gram = np.empty((len(modes), len(modes)), dtype=complex)
@@ -423,7 +445,7 @@ def _gram_matrix(params, modes, s, quad, constants):
             if j < i:
                 gram[i, j] = np.conj(gram[j, i])
             else:
-                gram[i, j] = np.einsum("i,j,ij->", w1, w2, np.conj(fi) * fj)
+                gram[i, j] = np.einsum("i,j,ij->", w, w, np.conj(fi) * fj)
     return gram
 
 
@@ -499,20 +521,29 @@ def hermite_ridge_offset(order: int) -> float:
     Every transverse profile H(xi) exp(-xi^2/2) attains its largest
     modulus on this ridge; following it keeps the sampled field away
     from polynomial nodes for odd orders, where the axis value is zero.
+    A grid search brackets the maximum, and bisection then locates the
+    root of the profile's derivative, whose sign is that of
+    2n H_{n-1}(xi) - xi H_n(xi), to the resolution of double precision.
     """
     if order == 0:
         return 0.0
     grid = np.linspace(0.0, math.sqrt(2.0 * order + 1.0) + 2.0, 4097)
     profile = np.abs(hermite(order, grid)) * np.exp(-0.5 * grid**2)
     i = int(np.argmax(profile))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda x: -abs(hermite(order, float(x))) * math.exp(-0.5 * float(x) ** 2),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x)
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+
+    def slope(x):
+        return 2.0 * order * hermite(order - 1, x) - x * hermite(order, x)
+
+    lo_sign = slope(lo) > 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (slope(mid) > 0.0) == lo_sign:
+            lo = mid
+        else:
+            hi = mid
 
 
 def gouy_phase_samples(params: BeamParams, mode: ModeIndex, s_samples, path: str = "auto"):
@@ -553,6 +584,40 @@ def gouy_phase_samples(params: BeamParams, mode: ModeIndex, s_samples, path: str
     return s, phase, path
 
 
+def _fit_arctan(s, phase, p0):
+    """Least-squares fit of A*arctan(s/B) + c to ``phase`` by damped Gauss-Newton.
+
+    Starts from ``p0 = (A, B, c)`` and uses the analytic Jacobian
+    [arctan(s/B), -A s/(B^2 + s^2), 1]. A step that does not lower the
+    sum of squares is halved until it does; the iteration stops when the
+    next step is below 1e-12 of every parameter or no step improves the
+    fit. Returns (A, B, c) as floats.
+    """
+    coef = np.array(p0, dtype=float)
+
+    def residual(c):
+        return c[0] * np.arctan(s / c[1]) + c[2] - phase
+
+    r = residual(coef)
+    cost = float(r @ r)
+    for _ in range(100):
+        amp, scale, _ = coef
+        jac = np.column_stack([np.arctan(s / scale), -amp * s / (scale**2 + s**2), np.ones_like(s)])
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        if np.all(np.abs(step) <= 1e-12 * np.abs(coef)):
+            break
+        for _ in range(30):
+            r_trial = residual(coef + step)
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial < cost:
+                break
+            step = 0.5 * step
+        else:
+            break
+        coef, r, cost = coef + step, r_trial, cost_trial
+    return tuple(float(c) for c in coef)
+
+
 def fit_gouy(params: BeamParams, mode: ModeIndex, s_samples, path: str = "auto") -> GouyFitReport:
     """Recover the axial phase law by fitting A*arctan(s/B) + c0.
 
@@ -562,22 +627,15 @@ def fit_gouy(params: BeamParams, mode: ModeIndex, s_samples, path: str = "auto")
     """
     s, phase, path = gouy_phase_samples(params, mode, s_samples, path)
     lr = params.rayleigh_range
-
-    def model(sv, amp, scale, offset):
-        return amp * np.arctan(sv / scale) + offset
-
     amp0 = (phase[-1] - phase[0]) / (math.atan2(s[-1], lr) - math.atan2(s[0], lr))
     mid = s.size // 2
     p0 = (amp0, lr, phase[mid] - amp0 * math.atan2(s[mid], lr))
-    with warnings.catch_warnings():
-        # an exact fit yields a singular covariance estimate; harmless here
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(model, s, phase, p0=p0)
-    rms = float(np.sqrt(np.mean((model(s, *popt) - phase) ** 2)))
+    amp, scale, offset = _fit_arctan(s, phase, p0)
+    rms = float(np.sqrt(np.mean((amp * np.arctan(s / scale) + offset - phase) ** 2)))
     return GouyFitReport(
         mode=mode,
-        fitted_amplitude=float(popt[0]),
-        fitted_scale=float(popt[1]),
+        fitted_amplitude=amp,
+        fitted_scale=scale,
         rms_fit_error=rms,
         path=path,
         sample_count=int(s.size),

@@ -17,6 +17,7 @@ from exactbeam import (
     integrate_2d,
     second_derivative,
 )
+from exactbeam.numerics import quadrature_nodes
 from oracle_tools import hermite_series
 
 
@@ -128,6 +129,17 @@ class TestQuadrature:
             with np.errstate(all="ignore"):
                 integrate_2d(bad, QuadratureSpec(node_count=64))
 
+    def test_legendre_rule_cached_read_only(self):
+        spec = QuadratureSpec("gauss-legendre-on-interval", 41, ((-3.0, 5.0),))
+        x, w = quadrature_nodes(spec)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(41)
+        np.testing.assert_array_equal(x, 1.0 + 4.0 * ref_x)
+        np.testing.assert_array_equal(w, 4.0 * ref_w)
+        x[0] = w[0] = 0.0  # the returned arrays are the caller's own
+        again_x, again_w = quadrature_nodes(spec)
+        np.testing.assert_array_equal(again_x, 1.0 + 4.0 * ref_x)
+        np.testing.assert_array_equal(again_w, 4.0 * ref_w)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec("simpson", 64)
@@ -167,6 +179,16 @@ class TestStencils:
         assert got == pytest.approx(-math.sin(0.7), abs=1e-12)
         gotc = first_derivative(lambda x: np.exp(5j * x), 1.0, StencilSpec(1e-3, 4))
         assert abs(gotc - 5j * np.exp(5j)) < 1e-9
+
+    def test_precomputed_centre_is_bit_identical(self):
+        f = lambda x: np.exp(5j * x) * np.cos(x)
+        at = np.array([0.1, 0.5, 1.3])
+        spec = StencilSpec(1e-3, 4)
+        calls = []
+        counted = lambda x: calls.append(1) or f(x)
+        got = second_derivative(counted, at, spec, f(at))
+        np.testing.assert_array_equal(got, second_derivative(f, at, spec))
+        assert len(calls) == 4
 
     def test_array_evaluation_points(self):
         at = np.array([0.0, 0.5, 1.0])

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exactbeam
 from exactbeam import (
     AlternateComparisonReport,
     BeamParams,
@@ -25,6 +30,7 @@ from exactbeam import (
     field_function,
     fit_gouy,
     gouy_phase_samples,
+    hermite,
     hermite_ridge_offset,
     normalization_constant,
     paraxial_psi,
@@ -36,6 +42,7 @@ from exactbeam import (
     spot_radius,
     transverse_gram,
 )
+from exactbeam.cli import SUITE_TOLERANCES
 
 
 class TestReports:
@@ -51,6 +58,13 @@ class TestReports:
         assert d["equation"] == "full_wave_eq1"
         assert d["max_relative_residual"] == 1e-9
         assert d["skipped_points"] == 2
+        assert d["max_peak_residual"] is None
+
+    def test_peak_residual_in_dict(self):
+        rep = ResidualReport("reduced_eq12", 10, 1e-5, "k^2 |phi|", max_peak_residual=2e-9)
+        assert rep.to_dict()["max_peak_residual"] == 2e-9
+        with pytest.raises(ValueError):
+            ResidualReport("reduced_eq12", 10, 1e-5, "k^2 |phi|", max_peak_residual=-1.0)
 
     def test_alternate_report_dict(self):
         rep = AlternateComparisonReport(0.02, 100, -0.8j, 1e-3)
@@ -149,6 +163,19 @@ class TestConvergenceSweep:
         assert all(o >= 3.4 for o in orders)
 
 
+def _waist_mutant(params, mode):
+    """Envelope whose axial phase uses a Rayleigh range from a waist 1% too wide."""
+    lr_bad = 0.5 * params.k * (1.01 * params.w0) ** 2
+
+    def corrupted(x1, x2, s):
+        shift = (1 + mode.total_order) * (
+            np.arctan(s / params.rayleigh_range) - np.arctan(s / lr_bad)
+        )
+        return envelope_phi(params, mode, x1, x2, s) * np.exp(1j * shift)
+
+    return corrupted
+
+
 class TestReducedResidual:
     def test_mode_index_envelope(self, beam50, rng):
         pts = (rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.5, 1.5, 40),
@@ -166,19 +193,38 @@ class TestReducedResidual:
 
     def test_corrupted_axial_phase_detected(self, beam5, rng):
         mode = ModeIndex(0, 0)
-        lr_good = beam5.rayleigh_range
-        lr_bad = 0.5 * beam5.k * (1.01 * beam5.w0) ** 2
-
-        def corrupted(x1, x2, s):
-            shift = (1 + mode.total_order) * (np.arctan(s / lr_good) - np.arctan(s / lr_bad))
-            return envelope_phi(beam5, mode, x1, x2, s) * np.exp(1j * shift)
-
         pts = (rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.5, 1.5, 40),
-               rng.uniform(-2, 2, 40) * lr_good)
+               rng.uniform(-2, 2, 40) * beam5.rayleigh_range)
         honest = residual_reduced(beam5, mode, pts)
-        bad = residual_reduced(beam5, corrupted, pts)
+        bad = residual_reduced(beam5, _waist_mutant(beam5, mode), pts)
         assert honest.max_relative_residual <= 1e-6
         assert bad.max_relative_residual > 1e-3
+
+
+@pytest.mark.parametrize("mode", [(0, 0), (6, 4), (10, 10), (20, 0)])
+@pytest.mark.parametrize("kw0", [1.0, 20.0, 300.0, 1e4])
+class TestPeakNormalizedVerdicts:
+    """The gated peak ratios separate exact fields from a mutant at every k*w0."""
+
+    @staticmethod
+    def reduced_points(params, rng, count=300):
+        s = rng.uniform(-3.0, 3.0, count) * params.rayleigh_range
+        w = spot_radius(params, s)
+        return (rng.uniform(-2.0, 2.0, count) * w, rng.uniform(-2.0, 2.0, count) * w, s)
+
+    def test_exact_envelope_passes(self, kw0, mode, rng):
+        beam = BeamParams(k=kw0, w0=1.0)
+        mode = ModeIndex(*mode)
+        reduced = residual_reduced(beam, mode, self.reduced_points(beam, rng))
+        assert reduced.max_peak_residual <= SUITE_TOLERANCES["reduced"]
+        for rep in check_symmetry(beam, mode, sample_points(beam, 100, rng)):
+            assert rep.max_peak_residual <= SUITE_TOLERANCES["symmetry"]
+
+    def test_waist_mutant_fails_reduced(self, kw0, mode, rng):
+        beam = BeamParams(k=kw0, w0=1.0)
+        mode = ModeIndex(*mode)
+        rep = residual_reduced(beam, _waist_mutant(beam, mode), self.reduced_points(beam, rng))
+        assert rep.max_peak_residual >= 1e-2
 
 
 class TestSymmetry:
@@ -255,6 +301,13 @@ class TestAxialPhaseLaw:
         assert hermite_ridge_offset(1) == pytest.approx(1.0, abs=1e-6)
         assert hermite_ridge_offset(2) == pytest.approx(math.sqrt(2.5), abs=1e-6)
 
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_ridge_offset_zeroes_profile_slope(self, order):
+        x = hermite_ridge_offset(order)
+        slope = 2 * order * hermite(order - 1, x) - x * hermite(order, x)
+        scale = 2 * order * abs(hermite(order - 1, x)) + abs(x * hermite(order, x))
+        assert abs(slope) <= 1e-10 * scale
+
     def test_axis_samples_follow_arctan(self, beam50):
         lr = beam50.rayleigh_range
         s = np.linspace(-10 * lr, 10 * lr, 101)
@@ -311,3 +364,12 @@ class TestAlternateComparison:
         devs = [r.max_relative_deviation for r in reports]
         assert devs == sorted(devs, reverse=True)
         assert all(o >= 1.8 for o in orders)
+
+
+def test_cli_import_leaves_out_scipy():
+    src = str(Path(exactbeam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, exactbeam.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr or "importing exactbeam.cli imported scipy"
