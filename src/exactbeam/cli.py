@@ -33,7 +33,7 @@ from .errors import (
     QuadratureConvergenceError,
     UnsupportedOrderError,
 )
-from .gridio import FieldGrid, save
+from .gridio import FieldGrid, save, save_rows
 from .verify import (
     alternate_correspondence_sweep,
     check_symmetry,
@@ -450,9 +450,8 @@ def cmd_gouy(config: RunConfig, out: str, fmt: str) -> int:
     fit_doc = report.to_dict()
     fit_doc["version"] = __version__
     if fmt == "csv":
-        rows = np.column_stack([s_sorted, phase])
         header = "# " + json.dumps(fit_doc, sort_keys=True) + "\ns,phase"
-        np.savetxt(out, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+        save_rows(out, header, [s_sorted, phase])
         fit_path = out + ".fit.json"
         with open(fit_path, "w", encoding="utf-8") as fh:
             json.dump(fit_doc, fh, sort_keys=True, indent=2)
@@ -504,9 +503,6 @@ def cmd_compare(config: RunConfig, out: str, fmt: str) -> int:
 
     if out:
         if fmt == "csv":
-            rows = np.array(
-                [[r.paraxiality, r.max_relative_deviation] for r in reports]
-            )
             header = (
                 "# "
                 + json.dumps(
@@ -514,7 +510,8 @@ def cmd_compare(config: RunConfig, out: str, fmt: str) -> int:
                 )
                 + "\nparaxiality,deviation"
             )
-            np.savetxt(out, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+            save_rows(out, header, [[r.paraxiality for r in reports],
+                                    [r.max_relative_deviation for r in reports]])
         else:
             doc = {
                 "version": __version__,
@@ -599,7 +596,9 @@ def main(argv=None) -> int:
     except (ConfigError, ConstraintViolationError, GouyPathError, UnsupportedOrderError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericOverflowError, NonFiniteSampleError, QuadratureConvergenceError) as exc:
+    # ArithmeticError covers NumericOverflowError and any stray OverflowError,
+    # FloatingPointError or ZeroDivisionError from the numerics
+    except (ArithmeticError, NonFiniteSampleError, QuadratureConvergenceError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

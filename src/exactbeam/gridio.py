@@ -6,7 +6,13 @@ columns followed by ``re,im,modulus,phase``, then one data row per grid
 point in row-major axis order. All numbers are printed with %.17g,
 which round-trips IEEE doubles exactly and keeps byte-identical output
 for identical inputs. JSON files carry the same information as a single
-document.
+document, written as ``json.dump(doc, sort_keys=True, indent=1)`` would.
+
+Both writers stream: they format CHUNK_ROWS rows (CSV) or values (JSON)
+at a time, so memory stays bounded whatever the grid size, and they never
+build the coordinate meshgrid. Their bytes equal those of ``np.savetxt``
+with ``fmt="%.17g"`` and of ``json.dump``. ``save_rows`` is the same CSV
+writer for plain float columns (the gouy and compare outputs).
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ import numpy as np
 from .errors import ConfigError
 
 FORMAT_VERSION = 1
+
+#: Rows (CSV) or values (JSON) formatted per write.
+CHUNK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -89,20 +98,52 @@ def _meta_doc(grid: FieldGrid) -> dict:
     }
 
 
+def _write_csv(path, header: str, count: int, block) -> None:
+    """Write ``header`` and ``count`` rows, CHUNK_ROWS rows per ``%`` format.
+
+    ``block(start, stop)`` returns the columns of rows [start, stop): float
+    arrays, printed with %.17g, or object arrays of preformatted strings.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for start in range(0, count, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, count)
+            columns = block(start, stop)
+            table = np.empty((stop - start, len(columns)), dtype=object)
+            for j, column in enumerate(columns):
+                table[:, j] = column
+            row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+            fh.write((row * (stop - start)) % tuple(table.ravel().tolist()))
+
+
+def save_rows(path, header: str, columns) -> None:
+    """Write equal-length float columns as CSV below ``header``.
+
+    The bytes are those of ``np.savetxt(path, np.column_stack(columns),
+    fmt="%.17g", delimiter=",", header=header, comments="")``.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    _write_csv(path, header, len(columns[0]), lambda a, b: [c[a:b] for c in columns])
+
+
 def save_csv(grid: FieldGrid, path) -> None:
+    shape = grid.values.shape
     flat = grid.values.ravel()
-    columns = grid.coordinate_columns() + [
-        flat.real,
-        flat.imag,
-        np.abs(flat),
-        np.angle(flat),
-    ]
+    # each coordinate repeats across rows: format every axis value once
+    axis_text = [np.array(["%.17g" % v for v in ax.values.tolist()], dtype=object)
+                 for ax in grid.axes]
+
+    def block(start, stop):
+        index = np.unravel_index(np.arange(start, stop), shape)
+        z = flat[start:stop]
+        return [text[i] for text, i in zip(axis_text, index)] + [
+            z.real, z.imag, np.abs(z), np.angle(z)]
+
     header = (
         "# " + json.dumps(_meta_doc(grid), sort_keys=True) + "\n"
         + ",".join([ax.name for ax in grid.axes] + ["re", "im", "modulus", "phase"])
     )
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    _write_csv(path, header, flat.size, block)
 
 
 def load_csv(path) -> FieldGrid:
@@ -119,13 +160,29 @@ def load_csv(path) -> FieldGrid:
     return FieldGrid(axes=axes, values=values, metadata=doc.get("metadata", {}))
 
 
+def _write_json_floats(fh, values: np.ndarray, separator: str) -> None:
+    """Write a float array's items as json's encoder would, CHUNK_ROWS at a time."""
+    for start in range(0, values.size, CHUNK_ROWS):
+        if start:
+            fh.write(separator)
+        chunk = values[start:start + CHUNK_ROWS]
+        # json prints NaN and Infinity by name; finite floats by repr
+        encode = float.__repr__ if np.isfinite(chunk).all() else json.dumps
+        fh.write(separator.join(map(encode, chunk.tolist())))
+
+
 def save_json(grid: FieldGrid, path) -> None:
-    doc = _meta_doc(grid)
+    # Equals json.dump(doc, fh, sort_keys=True, indent=1) with
+    # doc["values"] = {"re": [...], "im": [...]}: "values" sorts after the
+    # other top-level keys and "im" before "re", so the arrays go last.
+    head = json.dumps(_meta_doc(grid), sort_keys=True, indent=1)
     flat = grid.values.ravel()
-    doc["values"] = {"re": flat.real.tolist(), "im": flat.imag.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(head[:-len("\n}")] + ',\n "values": {\n  "im": [\n   ')
+        _write_json_floats(fh, flat.imag, ",\n   ")
+        fh.write('\n  ],\n  "re": [\n   ')
+        _write_json_floats(fh, flat.real, ",\n   ")
+        fh.write("\n  ]\n }\n}\n")
 
 
 def load_json(path) -> FieldGrid:

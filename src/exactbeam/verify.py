@@ -340,7 +340,7 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
         mode = envelope
         envelope = lambda x1, x2, s: envelope_phi(params, mode, x1, x2, s)
     transverse_step = 1e-3 * params.w0 if transverse_step is None else transverse_step
-    s_step = 1e-3 * params.rayleigh_range if s_step is None else s_step
+    s_step = 5e-4 * params.rayleigh_range if s_step is None else s_step
 
     x1, x2, s = (np.atleast_1d(np.asarray(a, dtype=float)) for a in points)
     phi = np.asarray(envelope(x1, x2, s))

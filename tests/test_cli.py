@@ -234,6 +234,16 @@ class TestVerify:
         assert "suite reduced: FAIL" in capsys.readouterr().out
 
 
+    def test_stray_arithmetic_error_is_numeric_guard(self, tmp_path, capsys):
+        # at k*w0 = 1e4 the compare suite overflows inside abs(); compare is not
+        # valid there yet, but the CLI must report it as a numeric guard
+        doc = {"beam": {"k": 10000}, "modes": [[0, 0]],
+               "verify": {"points": 500, "suites": ["compare"]}}
+        with np.errstate(all="ignore"):
+            rc = main(["verify", "--config", config_path(tmp_path, doc), "--natural-units"])
+        assert rc == 3
+        assert "numeric guard:" in capsys.readouterr().err
+
 class TestGouy:
     def test_csv_curve_and_fit_sidecar(self, tmp_path, capsys):
         doc = {"beam": {"k": 50}, "modes": [[1, 1]]}

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from exactbeam import AxisSpec, ConfigError, FieldGrid
+from exactbeam import AxisSpec, ConfigError, FieldGrid, gridio
+from exactbeam.cli import main
 from exactbeam.gridio import FORMAT_VERSION, load, load_csv, load_json, save, save_csv, save_json
 
 
@@ -130,3 +131,130 @@ class TestDispatch:
     def test_unknown_format(self, grid, tmp_path):
         with pytest.raises(ConfigError):
             save(grid, tmp_path / "f.xml", "xml")
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: the np.savetxt and json.dump writers that the streaming
+# writers replace, kept here as the reference.
+# ---------------------------------------------------------------------------
+
+
+def _reference_meta(grid):
+    return {
+        "format_version": FORMAT_VERSION,
+        "axes": [ax.to_dict() for ax in grid.axes],
+        "metadata": grid.metadata,
+    }
+
+
+def reference_csv(grid, path):
+    flat = grid.values.ravel()
+    mesh = np.meshgrid(*(ax.values for ax in grid.axes), indexing="ij")
+    columns = [g.ravel() for g in mesh] + [flat.real, flat.imag, np.abs(flat), np.angle(flat)]
+    header = (
+        "# " + json.dumps(_reference_meta(grid), sort_keys=True) + "\n"
+        + ",".join([ax.name for ax in grid.axes] + ["re", "im", "modulus", "phase"])
+    )
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
+def reference_json(grid, path):
+    doc = _reference_meta(grid)
+    flat = grid.values.ravel()
+    doc["values"] = {"re": flat.real.tolist(), "im": flat.imag.tolist()}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def _random_grid(rng, shape, metadata=None):
+    axes = tuple(AxisSpec(name, -1.5 + i, 2.0 + 3 * i, n)
+                 for i, (name, n) in enumerate(zip(("x1", "x2", "x3"), shape)))
+    scale = 10.0 ** rng.integers(-20, 20, size=shape)
+    values = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return FieldGrid(axes=axes, values=values, metadata=metadata or {"mode": [2, 1]})
+
+
+def _assert_same_bytes(grid, tmp_path):
+    for writer, reference, ext in ((save_csv, reference_csv, "csv"),
+                                   (save_json, reference_json, "json")):
+        ours, theirs = tmp_path / f"ours.{ext}", tmp_path / f"ref.{ext}"
+        writer(grid, ours)
+        reference(grid, theirs)
+        assert ours.read_bytes() == theirs.read_bytes(), ext
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("shape", [(9,), (3, 5), (2, 3, 4)])
+    @pytest.mark.parametrize("chunk_offset", [-1, 0, 1])
+    def test_chunk_boundaries(self, shape, chunk_offset, rng, tmp_path, monkeypatch):
+        """Grids of chunk+1, chunk and chunk-1 points."""
+        grid = _random_grid(rng, shape)
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", grid.values.size + chunk_offset)
+        _assert_same_bytes(grid, tmp_path)
+
+    @pytest.mark.parametrize("shape", [(40,), (7, 6), (3, 4, 5)])
+    def test_many_chunks(self, shape, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        _assert_same_bytes(_random_grid(rng, shape), tmp_path)
+
+    def test_default_chunk(self, rng, tmp_path):
+        _assert_same_bytes(_random_grid(rng, (gridio.CHUNK_ROWS + 3,)), tmp_path)
+
+    def test_signed_zero_and_non_finite(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        grid = _random_grid(rng, (5, 3))
+        flat = grid.values.reshape(-1)
+        flat[0] = complex(-0.0, 0.0)
+        flat[1] = complex(0.0, -0.0)
+        flat[6] = complex(np.nan, 1.0)
+        flat[7] = complex(np.inf, -np.inf)
+        flat[14] = complex(-np.inf, np.nan)
+        _assert_same_bytes(grid, tmp_path)
+        text = (tmp_path / "ours.json").read_text()
+        assert "NaN" in text and "Infinity" in text and "-0.0" in text
+
+    def test_non_ascii_metadata(self, rng, tmp_path):
+        grid = _random_grid(rng, (4, 3), metadata={"note": "ψ(x₁) für Gouy", "mode": [0, 0]})
+        _assert_same_bytes(grid, tmp_path)
+
+
+def _cli(tmp_path, command, doc, out, *extra):
+    config = tmp_path / f"{command}.config.json"
+    config.write_text(json.dumps(doc))
+    return main([command, "--config", str(config), "--out", str(out), "--natural-units",
+                 *extra])
+
+
+class TestCliCsvGoldenBytes:
+    """gouy and compare CSVs equal np.savetxt of the numbers in their JSON reports."""
+
+    def test_gouy_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 7)
+        doc = {"beam": {"k": 50}, "modes": [[1, 1]], "gouy": {"samples": 101}}
+        assert _cli(tmp_path, "gouy", doc, tmp_path / "g.csv") == 0
+        assert _cli(tmp_path, "gouy", doc, tmp_path / "g.json", "--format", "json") == 0
+        report = json.loads((tmp_path / "g.json").read_text())
+        fit_doc = json.loads((tmp_path / "g.csv.fit.json").read_text())
+        header = "# " + json.dumps(fit_doc, sort_keys=True) + "\ns,phase"
+        np.savetxt(tmp_path / "ref.csv", np.column_stack([report["s"], report["phase"]]),
+                   fmt="%.17g", delimiter=",", header=header, comments="")
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_compare_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 3)
+        doc = {"beam": {"k": 100}, "compare": {"points": 60}}
+        assert _cli(tmp_path, "compare", doc, tmp_path / "c.csv") == 0
+        assert _cli(tmp_path, "compare", doc, tmp_path / "c.json", "--format", "json") == 0
+        report = json.loads((tmp_path / "c.json").read_text())
+        rows = np.array([[r["paraxiality"], r["max_relative_deviation"]]
+                         for r in report["reports"]])
+        header = (
+            "# " + json.dumps({"version": report["version"], "orders": report["orders"],
+                               "passed": report["passed"]}, sort_keys=True)
+            + "\nparaxiality,deviation"
+        )
+        np.savetxt(tmp_path / "ref.csv", rows, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

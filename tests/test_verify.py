@@ -227,6 +227,18 @@ class TestPeakNormalizedVerdicts:
         assert rep.max_peak_residual >= 1e-2
 
 
+@pytest.mark.parametrize("kw0", [20.0, 300.0, 1e4])
+def test_reduced_default_step_margin(kw0):
+    """Exact (10,10) and (20,0) envelopes clear the 1e-6 reduced gate 10x; the mutant does not."""
+    beam = BeamParams(k=kw0, w0=1.0)
+    points = TestPeakNormalizedVerdicts.reduced_points(beam, np.random.default_rng(5), 2000)
+    for mode in (ModeIndex(10, 10), ModeIndex(20, 0)):
+        rep = residual_reduced(beam, mode, points)
+        assert rep.max_peak_residual <= 0.1 * SUITE_TOLERANCES["reduced"]
+    mutant = residual_reduced(beam, _waist_mutant(beam, ModeIndex(0, 0)), points)
+    assert mutant.max_peak_residual >= 1e-2
+
+
 class TestSymmetry:
     def test_honest_envelope(self, beam50, rng):
         first, second = check_symmetry(
