@@ -233,7 +233,6 @@ class TestVerify:
         assert rc == 1
         assert "suite reduced: FAIL" in capsys.readouterr().out
 
-
     def test_stray_arithmetic_error_is_numeric_guard(self, tmp_path, capsys):
         # at k*w0 = 1e4 the compare suite overflows inside abs(); compare is not
         # valid there yet, but the CLI must report it as a numeric guard
@@ -243,6 +242,7 @@ class TestVerify:
             rc = main(["verify", "--config", config_path(tmp_path, doc), "--natural-units"])
         assert rc == 3
         assert "numeric guard:" in capsys.readouterr().err
+
 
 class TestGouy:
     def test_csv_curve_and_fit_sidecar(self, tmp_path, capsys):
