@@ -9,15 +9,26 @@ for identical inputs. JSON files carry the same information as a single
 document, written as ``json.dump(doc, sort_keys=True, indent=1)`` would.
 
 Both writers stream: they format CHUNK_ROWS rows (CSV) or values (JSON)
-at a time, so memory stays bounded whatever the grid size, and they never
-build the coordinate meshgrid. Their bytes equal those of ``np.savetxt``
-with ``fmt="%.17g"`` and of ``json.dump``. ``save_rows`` is the same CSV
-writer for plain float columns (the gouy and compare outputs).
+at a time and never build the coordinate meshgrid. Their bytes equal
+those of ``np.savetxt`` with ``fmt="%.17g"`` and of ``json.dump``.
+``save_rows`` is the same CSV writer for plain float columns (the gouy
+and compare outputs).
+
+An output of more than one chunk is formatted by up to one forked worker
+process per usable CPU (``os.sched_getaffinity``). Each worker renders
+whole chunks from the arrays it inherited at fork, with the same chunk
+renderer as the in-process path, and the parent writes the returned
+bytes in chunk order, so the file does not depend on the CPU count. At
+most two chunks per worker are in flight, so memory stays bounded
+whatever the grid size. A one-chunk output, a single usable CPU or a
+platform without ``fork`` keeps all formatting in the calling process.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +95,6 @@ class FieldGrid:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "axes", tuple(self.axes))
 
-    def coordinate_columns(self) -> list:
-        """Row-major flattened coordinate column per axis."""
-        grids = np.meshgrid(*(ax.values for ax in self.axes), indexing="ij")
-        return [g.ravel() for g in grids]
-
 
 def _meta_doc(grid: FieldGrid) -> dict:
     return {
@@ -98,22 +104,79 @@ def _meta_doc(grid: FieldGrid) -> dict:
     }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _write_chunks(fh, render, count: int) -> None:
+    """Write ``render(start, stop)`` for the CHUNK_ROWS ranges of [0, count), in order.
+
+    ``render`` returns the encoded bytes of items [start, stop). It runs in
+    forked workers when there is more than one chunk and more than one
+    usable CPU, and in this process otherwise.
+    """
+    ranges = [(start, min(start + CHUNK_ROWS, count)) for start in range(0, count, CHUNK_ROWS)]
+    workers = min(_usable_cpus(), len(ranges))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            _write_forked(fh, render, ranges, workers, multiprocessing.get_context("fork"))
+            return
+    for start, stop in ranges:
+        fh.write(render(start, stop))
+
+
+#: The chunk renderer of a forked worker process; never set in the parent.
+_adopted_render = None
+
+
+def _adopt_renderer(render) -> None:
+    global _adopted_render
+    _adopted_render = render
+
+
+def _render_adopted(start: int, stop: int) -> bytes:
+    return _adopted_render(start, stop)
+
+
+def _write_forked(fh, render, ranges, workers: int, context) -> None:
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork passes render to the workers without pickling it; tasks are ranges
+    pool = ProcessPoolExecutor(workers, mp_context=context,
+                               initializer=_adopt_renderer, initargs=(render,))
+    pending = deque()
+    try:
+        for start, stop in ranges:
+            if len(pending) == 2 * workers:
+                fh.write(pending.popleft().result())
+            pending.append(pool.submit(_render_adopted, start, stop))
+        while pending:
+            fh.write(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _write_csv(path, header: str, count: int, block) -> None:
     """Write ``header`` and ``count`` rows, CHUNK_ROWS rows per ``%`` format.
 
     ``block(start, stop)`` returns the columns of rows [start, stop): float
     arrays, printed with %.17g, or object arrays of preformatted strings.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for start in range(0, count, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, count)
-            columns = block(start, stop)
-            table = np.empty((stop - start, len(columns)), dtype=object)
-            for j, column in enumerate(columns):
-                table[:, j] = column
-            row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
-            fh.write((row * (stop - start)) % tuple(table.ravel().tolist()))
+    def render(start, stop):
+        columns = block(start, stop)
+        table = np.empty((stop - start, len(columns)), dtype=object)
+        for j, column in enumerate(columns):
+            table[:, j] = column
+        row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+        return ((row * (stop - start)) % tuple(table.ravel().tolist())).encode()
+
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode("utf-8"))
+        _write_chunks(fh, render, count)
 
 
 def save_rows(path, header: str, columns) -> None:
@@ -160,29 +223,36 @@ def load_csv(path) -> FieldGrid:
     return FieldGrid(axes=axes, values=values, metadata=doc.get("metadata", {}))
 
 
-def _write_json_floats(fh, values: np.ndarray, separator: str) -> None:
-    """Write a float array's items as json's encoder would, CHUNK_ROWS at a time."""
-    for start in range(0, values.size, CHUNK_ROWS):
-        if start:
-            fh.write(separator)
-        chunk = values[start:start + CHUNK_ROWS]
-        # json prints NaN and Infinity by name; finite floats by repr
-        encode = float.__repr__ if np.isfinite(chunk).all() else json.dumps
-        fh.write(separator.join(map(encode, chunk.tolist())))
-
-
 def save_json(grid: FieldGrid, path) -> None:
     # Equals json.dump(doc, fh, sort_keys=True, indent=1) with
     # doc["values"] = {"re": [...], "im": [...]}: "values" sorts after the
     # other top-level keys and "im" before "re", so the arrays go last.
+    # The chunks run over the im values followed by the re values.
     head = json.dumps(_meta_doc(grid), sort_keys=True, indent=1)
     flat = grid.values.ravel()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-len("\n}")] + ',\n "values": {\n  "im": [\n   ')
-        _write_json_floats(fh, flat.imag, ",\n   ")
-        fh.write('\n  ],\n  "re": [\n   ')
-        _write_json_floats(fh, flat.real, ",\n   ")
-        fh.write("\n  ]\n }\n}\n")
+    n = flat.size
+    separator = ",\n   "
+
+    def render(start, stop):
+        parts = []
+        for offset, values in ((0, flat.imag), (n, flat.real)):
+            lo, hi = max(start - offset, 0), min(stop - offset, n)
+            if lo >= hi:
+                continue
+            if lo:
+                parts.append(separator)
+            elif offset:
+                parts.append('\n  ],\n  "re": [\n   ')
+            chunk = values[lo:hi]
+            # json prints NaN and Infinity by name; finite floats by repr
+            encode = float.__repr__ if np.isfinite(chunk).all() else json.dumps
+            parts.append(separator.join(map(encode, chunk.tolist())))
+        return "".join(parts).encode()
+
+    with open(path, "wb") as fh:
+        fh.write((head[:-len("\n}")] + ',\n "values": {\n  "im": [\n   ').encode("utf-8"))
+        _write_chunks(fh, render, 2 * n)
+        fh.write(b"\n  ]\n }\n}\n")
 
 
 def load_json(path) -> FieldGrid:

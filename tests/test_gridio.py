@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -55,12 +59,6 @@ class TestFieldGrid:
         axes = (AxisSpec("x1", 0.0, 1.0, 2),)
         with pytest.raises(ValueError):
             FieldGrid(axes=axes, values=np.arange(3.0), metadata={})
-
-    def test_coordinate_columns_row_major(self):
-        axes = (AxisSpec("a", 0.0, 1.0, 2), AxisSpec("b", 0.0, 2.0, 3))
-        cols = FieldGrid(axes=axes, values=np.zeros(6), metadata={}).coordinate_columns()
-        np.testing.assert_array_equal(cols[0], [0, 0, 0, 1, 1, 1])
-        np.testing.assert_array_equal(cols[1], [0, 1, 2, 0, 1, 2])
 
 
 class TestCsv:
@@ -185,7 +183,21 @@ def _assert_same_bytes(grid, tmp_path):
         assert ours.read_bytes() == theirs.read_bytes(), ext
 
 
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPU count the writers see, and so their worker count."""
+    return lambda n: monkeypatch.setattr(gridio, "_usable_cpus", lambda: n)
+
+
 class TestGoldenBytes:
+    """In-process path: one usable CPU."""
+
+    workers = 1
+
+    @pytest.fixture(autouse=True)
+    def _workers(self, usable_cpus):
+        usable_cpus(self.workers)
+
     @pytest.mark.parametrize("shape", [(9,), (3, 5), (2, 3, 4)])
     @pytest.mark.parametrize("chunk_offset", [-1, 0, 1])
     def test_chunk_boundaries(self, shape, chunk_offset, rng, tmp_path, monkeypatch):
@@ -215,9 +227,16 @@ class TestGoldenBytes:
         text = (tmp_path / "ours.json").read_text()
         assert "NaN" in text and "Infinity" in text and "-0.0" in text
 
-    def test_non_ascii_metadata(self, rng, tmp_path):
+    def test_non_ascii_metadata(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 5)
         grid = _random_grid(rng, (4, 3), metadata={"note": "ψ(x₁) für Gouy", "mode": [0, 0]})
         _assert_same_bytes(grid, tmp_path)
+
+
+class TestGoldenBytesForked(TestGoldenBytes):
+    """The same cases with every chunk formatted by one of two forked workers."""
+
+    workers = 2
 
 
 def _cli(tmp_path, command, doc, out, *extra):
@@ -229,6 +248,12 @@ def _cli(tmp_path, command, doc, out, *extra):
 
 class TestCliCsvGoldenBytes:
     """gouy and compare CSVs equal np.savetxt of the numbers in their JSON reports."""
+
+    workers = 1
+
+    @pytest.fixture(autouse=True)
+    def _workers(self, usable_cpus):
+        usable_cpus(self.workers)
 
     def test_gouy_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gridio, "CHUNK_ROWS", 7)
@@ -258,3 +283,118 @@ class TestCliCsvGoldenBytes:
         np.savetxt(tmp_path / "ref.csv", rows, fmt="%.17g", delimiter=",", header=header,
                    comments="")
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestCliCsvGoldenBytesForked(TestCliCsvGoldenBytes):
+    workers = 2
+
+
+# ---------------------------------------------------------------------------
+# Worker processes: how many start, and failures inside them.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the processes forked while a test runs."""
+    count = [0]
+    real_fork = os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+def _run_within(seconds, fn, *args):
+    """Run ``fn(*args)`` in a thread that must finish within ``seconds``; return its exception."""
+    outcome = []
+
+    def run():
+        try:
+            fn(*args)
+        except Exception as exc:  # handed to the test, which checks its type
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} still running after {seconds} s"
+    return outcome[0] if outcome else None
+
+
+def _worker_renders(monkeypatch, render):
+    """Make every forked worker format its chunks with ``render`` instead."""
+    adopt = gridio._adopt_renderer
+    monkeypatch.setattr(gridio, "_adopt_renderer", lambda _: adopt(render))
+
+
+def _raise_in_worker(start, stop):
+    raise ValueError(f"render failed on [{start}, {stop})")
+
+
+def _exit_worker(start, stop):
+    os._exit(3)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("writer", [save_csv, save_json])
+    def test_one_chunk_starts_no_process(self, writer, rng, tmp_path, monkeypatch, forks,
+                                         usable_cpus):
+        usable_cpus(8)
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 30)  # JSON: 15 im + 15 re values
+        writer(_random_grid(rng, (5, 3)), tmp_path / "one")
+        assert forks[0] == 0
+
+    @pytest.mark.parametrize("cpus, chunks, expected", [(8, 3, 3), (2, 3, 2), (1, 3, 0)])
+    def test_worker_count(self, cpus, chunks, expected, rng, tmp_path, monkeypatch, forks,
+                          usable_cpus):
+        """min(usable CPUs, chunks) workers; none with one CPU."""
+        usable_cpus(cpus)
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 5)
+        save_csv(_random_grid(rng, (chunks * 5,)), tmp_path / "f.csv")
+        assert forks[0] == expected
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("writer", [save_csv, save_json])
+    def test_worker_exception_reaches_caller(self, writer, rng, tmp_path, monkeypatch,
+                                             usable_cpus):
+        usable_cpus(2)
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        _worker_renders(monkeypatch, _raise_in_worker)
+        error = _run_within(60, writer, _random_grid(rng, (6, 5)), tmp_path / "f")
+        assert isinstance(error, ValueError) and "render failed" in str(error)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("writer", [save_csv, save_json])
+    def test_dead_worker_raises(self, writer, rng, tmp_path, monkeypatch, usable_cpus):
+        usable_cpus(2)
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        _worker_renders(monkeypatch, _exit_worker)
+        error = _run_within(60, writer, _random_grid(rng, (6, 5)), tmp_path / "f")
+        assert isinstance(error, BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+
+    def test_chunks_in_flight_bounded(self, monkeypatch, usable_cpus):
+        """At most two chunks per worker are submitted ahead of the writer."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        usable_cpus(2)
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 1)
+        written, ahead = [], []
+        submit = ProcessPoolExecutor.submit
+
+        def counting_submit(pool, fn, *args):
+            ahead.append(len(ahead) + 1 - len(written))
+            return submit(pool, fn, *args)
+
+        class Sink:
+            def write(self, data):
+                written.append(data)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        gridio._write_chunks(Sink(), lambda start, stop: b"%d," % start, 20)
+        assert b"".join(written) == b"".join(b"%d," % i for i in range(20))
+        assert max(ahead) == 4
