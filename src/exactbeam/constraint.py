@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamParams, ModeIndex, normalization_constant, spot_radius
+from .beam import BeamParams, ModeIndex, _blockwise, normalization_constant, spot_radius
 from .numerics import hermite
 
 VARIANTS = ("paraxial_fP", "exact_fE")
@@ -87,20 +87,6 @@ def delta_reduced_time_integral(params: BeamParams, integrand, kind: ConstraintK
     return value / time_jacobian(kind, params)
 
 
-@dataclass(frozen=True)
-class AngularDensity:
-    """Angular radiation-pattern sample: value of F_mn at (theta, phi)."""
-
-    mode: ModeIndex
-    theta: float
-    phi: float
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"angular density must be non-negative, got {self.value!r}")
-
-
 def density_D(params: BeamParams, mode: ModeIndex, x1, x2, x3,
               include_jacobian: bool = True):
     """Constrained mode density D_mn at a spatial point.
@@ -116,22 +102,23 @@ def density_D(params: BeamParams, mode: ModeIndex, x1, x2, x3,
     squared-envelope form (the raw angular-form convention selectable
     from the CLI).
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    x3 = np.asarray(x3, dtype=float)
-    r = np.sqrt(x1**2 + x2**2 + x3**2)
-    w = spot_radius(params, r)
     c = normalization_constant(params, mode)
-    value = (
-        c**2
-        * (params.w0 / w) ** 2
-        * hermite(mode.m, np.sqrt(2.0) * x1 / w) ** 2
-        * hermite(mode.n, np.sqrt(2.0) * x2 / w) ** 2
-        * np.exp(-2.0 * (x1**2 + x2**2) / w**2)
-    )
-    if include_jacobian:
-        value = value * (2.0 / params.v)
-    return value
+
+    def kernel(x1, x2, x3):
+        r = np.sqrt(x1**2 + x2**2 + x3**2)
+        w = spot_radius(params, r)
+        value = (
+            c**2
+            * (params.w0 / w) ** 2
+            * hermite(mode.m, np.sqrt(2.0) * x1 / w) ** 2
+            * hermite(mode.n, np.sqrt(2.0) * x2 / w) ** 2
+            * np.exp(-2.0 * (x1**2 + x2**2) / w**2)
+        )
+        if include_jacobian:
+            value = value * (2.0 / params.v)
+        return value
+
+    return _blockwise(kernel, x1, x2, x3, dtype=float)
 
 
 def asymptotic_F(params: BeamParams, mode: ModeIndex, theta, phi):
@@ -146,14 +133,18 @@ def asymptotic_F(params: BeamParams, mode: ModeIndex, theta, phi):
     """
     lr = params.rayleigh_range
     c = normalization_constant(params, mode)
-    st = np.sin(np.asarray(theta, dtype=float))
     ratio = lr / params.w0
-    arg1 = np.sqrt(2.0) * st * np.cos(phi) * ratio
-    arg2 = np.sqrt(2.0) * st * np.sin(phi) * ratio
-    return (
-        c**2
-        * lr**2
-        * hermite(mode.m, arg1) ** 2
-        * hermite(mode.n, arg2) ** 2
-        * np.exp(-2.0 * st**2 * ratio**2)
-    )
+
+    def kernel(theta, phi):
+        st = np.sin(theta)
+        arg1 = np.sqrt(2.0) * st * np.cos(phi) * ratio
+        arg2 = np.sqrt(2.0) * st * np.sin(phi) * ratio
+        return (
+            c**2
+            * lr**2
+            * hermite(mode.m, arg1) ** 2
+            * hermite(mode.n, arg2) ** 2
+            * np.exp(-2.0 * st**2 * ratio**2)
+        )
+
+    return _blockwise(kernel, theta, phi, dtype=float)

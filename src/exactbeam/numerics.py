@@ -24,8 +24,8 @@ def hermite(order: int, x):
     """Physicists' Hermite polynomial H_order(x).
 
     Evaluated with the three-term recurrence
-    ``H_{k+1}(x) = 2 x H_k(x) - 2 k H_{k-1}(x)`` seeded by H_0 = 1,
-    which forces H_1(x) = 2x.
+    ``H_{k+1}(x) = 2 x H_k(x) - 2 k H_{k-1}(x)`` seeded by H_0 = 1 and
+    H_1(x) = 2x, updating two buffers in place.
 
     Parameters
     ----------
@@ -47,10 +47,16 @@ def hermite(order: int, x):
             f"Hermite order {order} exceeds the supported maximum {MAX_HERMITE_ORDER}"
         )
     x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)
     h = np.ones_like(x)
-    for k in range(order):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
+    if order > 0:
+        two_x = 2.0 * x
+        h_prev, h = h, two_x.copy()
+        for k in range(1, order):
+            # h_prev <- 2x h - 2k h_prev, in place: the same two roundings
+            # as the out-of-place form, since a - b is a + (-b) in IEEE 754
+            h_prev *= -2.0 * k
+            h_prev += two_x * h
+            h_prev, h = h, h_prev
     if x.ndim == 0:
         return float(h)
     return h

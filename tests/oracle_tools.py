@@ -1,13 +1,14 @@
 """Independent oracles for the test suite.
 
-Everything here is assembled from scratch with cmath/scipy primitives,
-deliberately avoiding the package's own evaluation code paths, so a
-shared bug cannot cancel out of a comparison.
+Everything here is assembled from scratch with cmath/scipy/mpmath
+primitives, deliberately avoiding the package's own evaluation code
+paths, so a shared bug cannot cancel out of a comparison.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import eval_hermite
 
@@ -38,6 +39,33 @@ def envelope_term_by_term(k, w0, m, n, x1, x2, s) -> complex:
     curvature = cmath.exp(1j * k * rho2 / (2.0 * complex(s, -lr)))
     gouy = cmath.exp(-1j * (1 + m + n) * math.atan2(s, lr))
     return prefactor * h * curvature * gouy
+
+
+def psi_mpmath(k, w0, v, m, n, x1, x2, x3, t, envelope_arg="exact", dps=40) -> complex:
+    """Hermite-Gaussian field at ``dps`` significant digits, rounded to a double.
+
+    The double inputs are taken exactly and every factor is evaluated in
+    mpmath: C_mn (w0/w) H_m(sqrt(2) x1/w) H_n(sqrt(2) x2/w)
+    * exp[i k rho^2 / (2 (s - i L_R))] * exp[-i (1+m+n) arctan(s/L_R)]
+    * exp[i (k x3 - omega t)], with s = (x3 + v t)/2 for the exact family
+    and s = x3 for the paraxial one.
+    """
+    with mpmath.workdps(dps):
+        k, w0, v, x1, x2, x3, t = (mpmath.mpf(float(a)) for a in (k, w0, v, x1, x2, x3, t))
+        lr = k * w0**2 / 2
+        s = (x3 + v * t) / 2 if envelope_arg == "exact" else x3
+        w = w0 * mpmath.sqrt(1 + (s / lr) ** 2)
+        c = mpmath.sqrt(2 / (mpmath.pi * 2 ** (m + n) * mpmath.factorial(m) * mpmath.factorial(n))) / w0
+        value = (
+            c
+            * (w0 / w)
+            * mpmath.hermite(m, mpmath.sqrt(2) * x1 / w)
+            * mpmath.hermite(n, mpmath.sqrt(2) * x2 / w)
+            * mpmath.exp(1j * k * (x1**2 + x2**2) / (2 * (s - 1j * lr)))
+            * mpmath.exp(-1j * (1 + m + n) * mpmath.atan(s / lr))
+            * mpmath.exp(1j * (k * x3 - k * v * t))
+        )
+        return complex(value)
 
 
 def alternate_term_by_term(k, w0, v, x1, x2, x3, t, scaled_amplitude=1.0) -> complex:

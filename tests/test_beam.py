@@ -1,15 +1,16 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from exactbeam import beam
 from exactbeam import (
     BeamParams,
     BranchCutWarning,
-    ComplexAmplitude,
     ConstraintViolationError,
     ModeIndex,
-    NormalizationTable,
     SpaceTimePoint,
     alternate_exact_psi,
     bateman_gaussian_psi,
@@ -22,7 +23,8 @@ from exactbeam import (
     paraxial_schrodinger_psi,
     spot_radius,
 )
-from oracle_tools import alternate_term_by_term, envelope_term_by_term
+from exactbeam.constraint import asymptotic_F, density_D
+from oracle_tools import alternate_term_by_term, envelope_term_by_term, psi_mpmath
 
 
 class TestBeamParams:
@@ -89,16 +91,6 @@ class TestSpaceTimePoint:
         assert p.s(q) == 11.0
 
 
-class TestComplexAmplitude:
-    def test_polar_accessors(self):
-        a = ComplexAmplitude(3.0 - 4.0j)
-        assert a.re == 3.0 and a.im == -4.0
-        assert a.modulus == 5.0
-        assert a.modulus**2 == pytest.approx(a.re**2 + a.im**2)
-        assert a.phase == pytest.approx(math.atan2(-4.0, 3.0))
-        assert -math.pi < a.phase <= math.pi
-
-
 class TestNormalization:
     def test_closed_form_constants(self, beam50):
         c00 = normalization_constant(beam50, ModeIndex(0, 0))
@@ -118,13 +110,6 @@ class TestNormalization:
         assert normalization_constant(beam50, ModeIndex(3, 1)) == normalization_constant(
             beam50, ModeIndex(1, 3)
         )
-
-    def test_table(self, beam50):
-        table = NormalizationTable.closed_form(beam50, max_total_order=3)
-        assert table[ModeIndex(2, 1)] == table[(1, 2)]
-        assert (3, 0) in table and (4, 0) not in table
-        with pytest.raises(ValueError):
-            NormalizationTable({(0, 0): -1.0})
 
 
 class TestGeometryFactors:
@@ -308,6 +293,19 @@ class TestAlternateExact:
         with pytest.warns(BranchCutWarning):
             alternate_exact_psi(beam50, SpaceTimePoint(lr, 0.0, 1e-8 * lr, 0.0))
 
+    def test_one_branch_cut_warning_per_blocked_call(self, beam50, monkeypatch):
+        monkeypatch.setattr(beam, "BLOCK_POINTS", 10)
+        lr = beam50.rayleigh_range
+        x1 = np.linspace(-2.0, 2.0, 30)
+        x3 = np.full(30, 0.5 * lr)
+        x3[17] = 0.0  # one point on the cut, in the second of three blocks
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alternate_exact_psi(beam50, SpaceTimePoint(x1, 0.0, x3, 0.0))
+        cut = [w for w in caught if issubclass(w.category, BranchCutWarning)]
+        assert len(cut) == 1
+        assert cut[0].filename == __file__
+
     def test_no_warning_off_cut(self, beam50):
         lr = beam50.rayleigh_range
         import warnings as w
@@ -363,3 +361,119 @@ class TestFieldDispatch:
             field_function("exact", beam50)
         with pytest.raises(ValueError):
             field_function("bessel", beam50, ModeIndex(0, 0))
+
+
+def _forward(x3, lr):
+    """Map coordinates onto the complex source's forward half space x3 in [0.2, 3.2] L_R."""
+    return 0.2 * lr + np.abs(x3) % (3.0 * lr)
+
+
+#: Every blocked evaluator as f(params, x1, x2, x3, t); density_D ignores t,
+#: and asymptotic_F reads (x1, x2) as small (theta, phi) angles.
+BLOCKED_EVALUATORS = {
+    "envelope_phi": lambda b, x1, x2, x3, t: envelope_phi(b, ModeIndex(2, 1), x1, x2, x3 + t),
+    "exact_psi": lambda b, x1, x2, x3, t: exact_psi(b, ModeIndex(3, 2), SpaceTimePoint(x1, x2, x3, t)),
+    "paraxial_psi": lambda b, x1, x2, x3, t: paraxial_psi(
+        b, ModeIndex(1, 4), SpaceTimePoint(x1, x2, x3, t)
+    ),
+    "alternate_exact_psi": lambda b, x1, x2, x3, t: alternate_exact_psi(
+        b, SpaceTimePoint(x1, x2, _forward(x3, b.rayleigh_range), t)
+    ),
+    "bateman_gaussian_psi": lambda b, x1, x2, x3, t: bateman_gaussian_psi(
+        b, SpaceTimePoint(x1, x2, x3, t)
+    ),
+    "density_D": lambda b, x1, x2, x3, t: density_D(b, ModeIndex(3, 2), x1, x2, x3),
+    "asymptotic_F": lambda b, x1, x2, x3, t: asymptotic_F(b, ModeIndex(2, 2), 0.01 * x1, x2),
+}
+
+
+def _coordinate_cases(lr):
+    """(x1, x2, x3, t) inputs: odd sizes, broadcast grids, rows wider than a block, scalars."""
+    rng = np.random.default_rng(99)
+
+    def u(*shape, scale=1.0):
+        return rng.uniform(-2.0, 2.0, shape) * scale
+
+    return {
+        "1d_odd": (u(1001), u(1001), u(1001, scale=lr), u(1001, scale=lr)),
+        "gram_grid": (u(37, 1), u(1, 23), 0.3 * lr, -0.2 * lr),
+        "3d_broadcast": (u(5, 7, 11), u(7, 1), u(5, 1, 1, scale=lr), u(11, scale=lr)),
+        "single_row": (u(1, 301), u(301), u(1, 1, scale=lr), 0.1 * lr),
+        "scalars": (0.4, -0.3, 1.1 * lr, 0.6 * lr),
+        "zero_d": (np.array(0.4), np.array(-0.3), np.array(1.1 * lr), np.array(0.6 * lr)),
+    }
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("case", ["1d_odd", "gram_grid", "3d_broadcast", "single_row",
+                                      "scalars", "zero_d"])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_EVALUATORS))
+    def test_bit_identical_to_one_block(self, beam50, monkeypatch, name, case, block):
+        evaluate = BLOCKED_EVALUATORS[name]
+        coords = _coordinate_cases(beam50.rayleigh_range)[case]
+        monkeypatch.setattr(beam, "BLOCK_POINTS", 10**9)
+        whole = evaluate(beam50, *coords)
+        monkeypatch.setattr(beam, "BLOCK_POINTS", block)
+        blocked = evaluate(beam50, *coords)
+        assert type(blocked) is type(whole)
+        assert np.shape(blocked) == np.shape(whole) == np.broadcast(*coords).shape
+        assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1001,), (37, 23), (1, 301), (5, 7, 11), (3, 1, 50)])
+    def test_kernel_sees_at_most_one_block(self, monkeypatch, shape):
+        monkeypatch.setattr(beam, "BLOCK_POINTS", 16)
+        sizes = []
+
+        def kernel(x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return x + y
+
+        x = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        y = np.linspace(0.0, 1.0, shape[-1])
+        np.testing.assert_array_equal(beam._blockwise(kernel, x, y, dtype=float), x + y)
+        assert max(sizes) <= 16
+        assert sum(sizes) == x.size
+
+    def test_exact_psi_memory_bound(self, beam50):
+        count = 1_000_000
+        rng = np.random.default_rng(5)
+        lr = beam50.rayleigh_range
+        x1, x2 = rng.uniform(-2.0, 2.0, (2, count))
+        x3, t = rng.uniform(-3.0, 3.0, (2, count)) * lr
+        p = SpaceTimePoint(x1, x2, x3, t)
+        tracemalloc.start()
+        try:
+            values = exact_psi(beam50, ModeIndex(2, 1), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.nbytes == 16_000_000
+        assert peak <= 24_000_000
+
+
+class TestMpmathReference:
+    @pytest.mark.parametrize("k_w0", [1.0, 50.0, 1000.0])
+    def test_fields_against_40_digit_reference(self, k_w0):
+        params = BeamParams(k=k_w0, w0=1.0, v=1.0)
+        lr = params.rayleigh_range
+        rng = np.random.default_rng(int(k_w0))
+        eps = np.finfo(float).eps
+        for _ in range(12):
+            x3, t = rng.uniform(-3.0, 3.0, 2) * lr
+            for family, mode, s in (("exact", (2, 1), 0.5 * (x3 + t)),
+                                    ("paraxial", (3, 0), x3),
+                                    ("gaussian", (0, 0), 0.5 * (x3 + t))):
+                w = spot_radius(params, s)
+                x1, x2 = rng.uniform(-2.0, 2.0, 2) * w
+                p = SpaceTimePoint(x1, x2, x3, t)
+                if family == "exact":
+                    got = exact_psi(params, ModeIndex(*mode), p)
+                elif family == "paraxial":
+                    got = paraxial_psi(params, ModeIndex(*mode), p)
+                else:
+                    got = bateman_gaussian_psi(params, p)
+                want = psi_mpmath(params.k, params.w0, params.v, *mode, x1, x2, x3, t,
+                                  envelope_arg="paraxial" if family == "paraxial" else "exact")
+                allowed = 1e-12 + 4.0 * eps * (abs(params.k * x3) + abs(params.omega * t))
+                assert abs(got - want) <= allowed * abs(want), (family, x1, x2, x3, t)

@@ -6,7 +6,6 @@ import pytest
 from exactbeam import (
     EXACT_FE,
     PARAXIAL_FP,
-    AngularDensity,
     BeamParams,
     ConstraintKind,
     ModeIndex,
@@ -172,12 +171,6 @@ class TestAsymptoticF:
         a = asymptotic_F(beam50, ModeIndex(3, 2), theta, phi)
         b = asymptotic_F(beam50, ModeIndex(3, 2), theta, phi + math.pi)
         assert a == pytest.approx(b, rel=1e-10, abs=1e-300)
-
-    def test_angular_density_record(self):
-        rec = AngularDensity(ModeIndex(0, 0), 0.01, 0.0, 5.0)
-        assert rec.value == 5.0
-        with pytest.raises(ValueError):
-            AngularDensity(ModeIndex(0, 0), 0.01, 0.0, -1e-6)
 
 
 class TestSurfaceCorrespondence:

@@ -21,6 +21,18 @@ from exactbeam.numerics import quadrature_nodes
 from oracle_tools import hermite_series
 
 
+def _hermite_out_of_place(order, x):
+    """The recurrence as it read before the in-place rewrite: the bit-level reference."""
+    x = np.asarray(x, dtype=float)
+    h_prev = np.zeros_like(x)
+    h = np.ones_like(x)
+    for k in range(order):
+        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
+    if x.ndim == 0:
+        return float(h)
+    return h
+
+
 class TestHermite:
     def test_order_zero_is_one(self):
         assert hermite(0, 1.7) == 1.0
@@ -58,6 +70,16 @@ class TestHermite:
     def test_vector_input(self):
         x = np.array([0.0, 0.5, 1.0])
         np.testing.assert_allclose(hermite(2, x), 4 * x**2 - 2, rtol=1e-14)
+
+    @pytest.mark.parametrize("order", range(61))
+    def test_in_place_recurrence_is_bit_identical(self, order, rng):
+        array = np.concatenate([[0.0, -0.0, 1e-300, -7.5, 30.0, np.inf, -np.inf, np.nan],
+                                rng.uniform(-12.0, 12.0, 201)])
+        with np.errstate(all="ignore"):
+            for x in (-0.7, np.array(2.25), array):
+                got, want = hermite(order, x), _hermite_out_of_place(order, x)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_order_guard(self):
         assert np.isfinite(hermite(60, 8.0))
