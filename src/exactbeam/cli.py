@@ -143,8 +143,10 @@ def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
                 raise ConfigError(f"field: angular grid is missing {sorted(missing)}")
             values = asymptotic_F(params, mode, coords["theta"], coords["phi"])
 
-    values = np.broadcast_to(np.asarray(values, dtype=complex),
-                             tuple(ax.count for ax in config.axes)).copy()
+    shape = tuple(ax.count for ax in config.axes)
+    values = np.asarray(values, dtype=complex)
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape).copy()
     _guard_finite(values, "evaluated field grid")
     grid = FieldGrid(
         axes=config.axes,

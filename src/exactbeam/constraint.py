@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamParams, ModeIndex, _blockwise, normalization_constant, spot_radius
+from .beam import (BeamParams, ModeIndex, _blockwise, _phasor, normalization_constant,
+                   spot_radius)
 from .numerics import hermite
 
 VARIANTS = ("paraxial_fP", "exact_fE")
@@ -129,16 +130,18 @@ def asymptotic_F(params: BeamParams, mode: ModeIndex, theta, phi):
         * exp(-2 sin(theta)^2 L_R^2 / w0^2),
 
     so that r^2 * density_D -> F * (2/v) as r -> infinity at fixed
-    angles inside the beam cone.
+    angles inside the beam cone. sin(theta), cos(phi) and sin(phi) come
+    from the phasors e^{i theta} and e^{i phi} of :func:`beam._phasor`.
     """
     lr = params.rayleigh_range
     c = normalization_constant(params, mode)
     ratio = lr / params.w0
 
     def kernel(theta, phi):
-        st = np.sin(theta)
-        arg1 = np.sqrt(2.0) * st * np.cos(phi) * ratio
-        arg2 = np.sqrt(2.0) * st * np.sin(phi) * ratio
+        st = _phasor(1.0, theta).imag
+        e_phi = _phasor(1.0, phi)
+        arg1 = np.sqrt(2.0) * st * e_phi.real * ratio
+        arg2 = np.sqrt(2.0) * st * e_phi.imag * ratio
         return (
             c**2
             * lr**2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteSampleError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 
 #: Highest Hermite order the three-term recurrence is allowed to reach.
 #: Beyond this the coefficients grow enough that double precision degrades.
@@ -143,41 +143,6 @@ def quadrature_nodes(spec: QuadratureSpec, axis: int = 0):
     return _nodes_weights(spec.scheme, spec.node_count, *spec.interval(axis))
 
 
-def _check_finite_2d(values, x1, x2):
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteSampleError(
-            f"integrand is not finite at node ({i}, {j}): "
-            f"x1={x1[i]!r}, x2={x2[j]!r}, value={values[i, j]!r}"
-        )
-
-
-def integrate_2d(f, spec: QuadratureSpec) -> complex:
-    """Tensor-product quadrature of ``f(x1, x2)`` over ``spec``'s rectangle.
-
-    ``f`` must accept broadcasting ndarray arguments. Raises
-    :class:`NonFiniteSampleError` if any node sample is non-finite.
-    """
-    x1, w1 = _nodes_weights(spec.scheme, spec.node_count, *spec.interval(0))
-    x2, w2 = _nodes_weights(spec.scheme, spec.node_count, *spec.interval(1))
-    values = np.asarray(f(x1[:, None], x2[None, :]))
-    _check_finite_2d(values, x1, x2)
-    return complex(np.einsum("i,j,ij->", w1, w2, values))
-
-
-def integrate_1d(f, spec: QuadratureSpec) -> complex:
-    """One-dimensional counterpart of :func:`integrate_2d` (first axis of ``spec``)."""
-    x, w = _nodes_weights(spec.scheme, spec.node_count, *spec.interval(0))
-    values = np.asarray(f(x))
-    if np.any(~np.isfinite(values)):
-        i = int(np.argwhere(~np.isfinite(values))[0])
-        raise NonFiniteSampleError(
-            f"integrand is not finite at node {i}: x={x[i]!r}, value={values[i]!r}"
-        )
-    return complex(np.sum(w * values))
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -205,11 +170,6 @@ class StencilSpec:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.accuracy_order not in _D2_WEIGHTS:
             raise ValueError(f"accuracy_order must be one of {sorted(_D2_WEIGHTS)}")
-
-    @property
-    def second_derivative_weights(self):
-        w, _ = _D2_WEIGHTS[self.accuracy_order]
-        return w / self.step**2
 
 
 def _apply_stencil(f, at, step, weights, reach, centre=None):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from exactbeam import (
     spot_radius,
 )
 from exactbeam.constraint import asymptotic_F, density_D
+from exactbeam.numerics import hermite
 from oracle_tools import alternate_term_by_term, envelope_term_by_term, psi_mpmath
 
 
@@ -453,7 +455,7 @@ class TestBlocking:
 
 
 class TestMpmathReference:
-    @pytest.mark.parametrize("k_w0", [1.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("k_w0", [1.0, 50.0, 1000.0, 10000.0])
     def test_fields_against_40_digit_reference(self, k_w0):
         params = BeamParams(k=k_w0, w0=1.0, v=1.0)
         lr = params.rayleigh_range
@@ -477,3 +479,138 @@ class TestMpmathReference:
                                   envelope_arg="paraxial" if family == "paraxial" else "exact")
                 allowed = 1e-12 + 4.0 * eps * (abs(params.k * x3) + abs(params.omega * t))
                 assert abs(got - want) <= allowed * abs(want), (family, x1, x2, x3, t)
+
+
+EPS = np.finfo(float).eps
+
+
+def _phase_cases():
+    """Phases for the phasor accuracy test: signed zeros, multiples of pi/2, |phase| near pi and
+    its large multiples, and magnitudes spread log-uniformly from 1e-3 to 1e12."""
+    rng = np.random.default_rng(2718)
+    near_pi = [np.nextafter(np.pi, 0.0), np.pi, np.nextafter(np.pi, 4.0)]
+    large_pi = [k * np.pi for k in (1e3 + 1, 1e6 + 1, 1e9 + 1, 3e11 + 1)]
+    magnitudes = 10.0 ** rng.uniform(-3.0, 12.0, 400)
+    cases = np.concatenate([[0.0], 0.5 * np.pi * np.arange(1, 41), near_pi, large_pi, magnitudes])
+    return np.concatenate([cases, -cases])
+
+
+def _hermite_gauss_libm(params, mode, x1, x2, s, carrier):
+    """The Hermite-Gaussian kernel with the phasor from the complex exponential it replaced."""
+    lr = params.rayleigh_range
+    u = s / lr
+    g = 1.0 + u * u
+    w = params.w0 * np.sqrt(g)
+    a = params.k * (x1 * x1 + x2 * x2) / (2.0 * lr * g)
+    amplitude = (normalization_constant(params, mode) * (params.w0 / w)
+                 * hermite(mode.m, np.sqrt(2.0) * x1 / w) * hermite(mode.n, np.sqrt(2.0) * x2 / w)
+                 * np.exp(-a))
+    return amplitude * np.exp(1j * (a * u - (1 + mode.total_order) * np.arctan(u) + carrier))
+
+
+def _bateman_libm(params, x1, x2, x3, t):
+    """The rational Gaussian form with both exponents under one complex exponential, as it was."""
+    lr = params.rayleigh_range
+    u = x3 + params.v * t
+    exponent = (1j * params.k * (x1**2 + x2**2) / (u - 2j * lr)
+                + 1j * (params.k * x3 - params.omega * t))
+    return normalization_constant(params, ModeIndex(0, 0)) * lr / (lr + 0.5j * u) * np.exp(exponent)
+
+
+def _asymptotic_F_libm(params, mode, theta, phi):
+    """The angular limit F with libm sin and cos, as it was."""
+    lr = params.rayleigh_range
+    ratio = lr / params.w0
+    st = np.sin(theta)
+    arg1 = np.sqrt(2.0) * st * np.cos(phi) * ratio
+    arg2 = np.sqrt(2.0) * st * np.sin(phi) * ratio
+    return (normalization_constant(params, mode) ** 2 * lr**2 * hermite(mode.m, arg1) ** 2
+            * hermite(mode.n, arg2) ** 2 * np.exp(-2.0 * st**2 * ratio**2))
+
+
+class TestPhasor:
+    def test_against_mpmath_expj(self):
+        phase = _phase_cases()
+        got = beam._phasor(1.0, phase)
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.expj(mpmath.mpf(float(p)))) for p in phase])
+        error = np.abs(got - want)
+        allowed = 16.0 * EPS + 2.0 * EPS * np.abs(phase)
+        worst = int(np.argmax(error / allowed))
+        assert np.all(error <= allowed), (phase[worst], error[worst] / EPS)
+
+    def test_extreme_amplitudes_stay_finite(self):
+        phase = np.concatenate([_phase_cases()[::7], [np.pi, -np.pi]])
+        for amplitude in (0.0, 5e-324, 1e-310, 1e300):
+            got = beam._phasor(amplitude, phase)
+            assert np.all(np.isfinite(got.real)) and np.all(np.isfinite(got.imag)), amplitude
+        np.testing.assert_array_equal(beam._phasor(0.0, phase), 0.0)
+        big = beam._phasor(1e300, phase)
+        np.testing.assert_allclose(big / 1e300, beam._phasor(1.0, phase), rtol=4 * EPS, atol=0)
+
+    def test_non_finite_phase_gives_nan(self):
+        phase = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            got = beam._phasor(2.0, phase)
+            libm = 2.0 * np.exp(1j * phase)
+        assert np.all(np.isnan(got.real)) and np.all(np.isnan(got.imag))
+        assert np.all(np.isnan(libm.real)) and np.all(np.isnan(libm.imag))
+
+    def test_broadcasting_and_scalars(self):
+        phase = np.linspace(-30.0, 30.0, 11)
+        scalar = beam._phasor(2.5, phase)
+        assert scalar.shape == (11,)
+        assert scalar.tobytes() == beam._phasor(np.full(11, 2.5), phase).tobytes()
+        amplitude = np.array([[1.0], [0.5], [3.0]])
+        grid = beam._phasor(amplitude, phase)
+        assert grid.shape == (3, 11)
+        for row, a in zip(grid, amplitude[:, 0]):
+            assert row.tobytes() == beam._phasor(np.full(11, a), phase).tobytes()
+        zero_d = beam._phasor(np.array(2.0), np.array(0.3))
+        assert isinstance(zero_d, np.complex128)
+        assert zero_d == beam._phasor(2.0, np.array([0.3]))[0]
+
+    @pytest.fixture
+    def general_points(self, beam50):
+        """Points within two spot radii and |x3|, |v t| <= 3 L_R, as in the eval_api workload."""
+        lr = beam50.rayleigh_range
+        rng = np.random.default_rng(50)
+        x3, t = rng.uniform(-3.0, 3.0, (2, 20_000)) * lr
+        w = spot_radius(beam50, 0.5 * (x3 + t))
+        x1, x2 = rng.uniform(-2.0, 2.0, (2, 20_000)) * w
+        return x1, x2, x3, t
+
+    @pytest.mark.parametrize("mode", [(0, 0), (2, 1), (10, 10), (20, 0)])
+    def test_hermite_gauss_fields_match_libm_form(self, beam50, general_points, mode):
+        mode = ModeIndex(*mode)
+        x1, x2, x3, t = general_points
+        carrier = beam50.k * x3 - beam50.omega * t
+        p = SpaceTimePoint(x1, x2, x3, t)
+        s = 0.5 * (x3 + beam50.v * t)
+        for got, want in (
+            (exact_psi(beam50, mode, p), _hermite_gauss_libm(beam50, mode, x1, x2, s, carrier)),
+            (paraxial_psi(beam50, mode, p), _hermite_gauss_libm(beam50, mode, x1, x2, x3, carrier)),
+            (envelope_phi(beam50, mode, x1, x2, s), _hermite_gauss_libm(beam50, mode, x1, x2, s, 0.0)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_bateman_matches_libm_form(self, beam50, general_points):
+        # the phase is now summed as q u + (k x3 - omega t) instead of inside a complex
+        # exponent, which moves it by an ulp of the carrier phase: 2 eps per radian
+        x1, x2, x3, t = general_points
+        got = bateman_gaussian_psi(beam50, SpaceTimePoint(x1, x2, x3, t))
+        want = _bateman_libm(beam50, x1, x2, x3, t)
+        allowed = 1e-13 + 2.0 * EPS * (np.abs(beam50.k * x3) + np.abs(beam50.omega * t))
+        assert np.all(np.abs(got - want) <= allowed * np.abs(want))
+
+    @pytest.mark.parametrize("mode", [(0, 0), (3, 2), (10, 10)])
+    def test_asymptotic_F_matches_libm_form(self, beam50, mode):
+        # relative to the peak: next to a Hermite node an ulp of the argument is a large
+        # relative change of F
+        mode = ModeIndex(*mode)
+        rng = np.random.default_rng(51)
+        theta = rng.uniform(0.0, 0.2, 20_000)
+        phi = rng.uniform(-np.pi, np.pi, 20_000)
+        got = asymptotic_F(beam50, mode, theta, phi)
+        want = _asymptotic_F_libm(beam50, mode, theta, phi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
