@@ -8,66 +8,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .beam import (
-    ModeIndex,
-    SpaceTimePoint,
-    envelope_phi,
-    field_function,
-    normalization_constant,
-    spot_radius,
-)
+from .beam import SpaceTimePoint, field_function
 from .config import RunConfig, load_config
 from .constraint import asymptotic_F, constraint_time, density_D
 from .errors import (
     ConfigError,
     ConstraintViolationError,
     GouyPathError,
-    NonFiniteSampleError,
     NumericOverflowError,
     QuadratureConvergenceError,
     UnsupportedOrderError,
 )
 from .gridio import FieldGrid, save, save_rows
-from .verify import (
-    alternate_correspondence_sweep,
-    check_symmetry,
-    compute_normalization,
-    fit_gouy,
-    gouy_phase_samples,
-    residual_full_wave,
-    residual_reduced,
-    sample_points,
-    transverse_gram,
-)
+from .verify import correspondence_check, fit_gouy, gouy_law_errors, gouy_phase_samples, run_battery
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-#: Pass/fail thresholds applied by the verify subcommand.
-SUITE_TOLERANCES = {
-    "residual_exact": 1e-6,
-    "residual_alternate": 1e-6,
-    "paraxial_ratio_min": 1e3,
-    "reduced": 1e-6,
-    "symmetry": 1e-7,
-    "gram_off_diagonal": 1e-9,
-    "gram_diagonal": 1e-9,
-    "normalization_rel": 1e-10,
-    "gouy_amplitude": 1e-6,
-    "gouy_scale_rel": 1e-6,
-    "gouy_span": 1e-6,
-}
-
-GRAM_MODES = tuple(ModeIndex(m, n) for m in range(3) for n in range(3))
-GOUY_MODES = (ModeIndex(0, 0), ModeIndex(2, 0), ModeIndex(2, 2))
 
 
 def _guard_finite(values, what: str):
@@ -167,256 +130,22 @@ def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify
 # ---------------------------------------------------------------------------
 
 
-def _mutant_symmetry_envelope(config: RunConfig, mode: ModeIndex):
-    params = config.beam
-    if config.verify_options["mutate"] == "t_independent_envelope":
-        return lambda x1, x2, x3, t: envelope_phi(params, mode, x1, x2, x3)
-    return None
-
-
-def _mutant_reduced_envelope(config: RunConfig, mode: ModeIndex):
-    params = config.beam
-    if config.verify_options["mutate"] != "gouy_w0_1pct":
-        return mode
-    lr_bad = 0.5 * params.k * (1.01 * params.w0) ** 2
-
-    def corrupted(x1, x2, s):
-        shift = (1 + mode.total_order) * (
-            np.arctan(np.asarray(s) / params.rayleigh_range) - np.arctan(np.asarray(s) / lr_bad)
-        )
-        return envelope_phi(params, mode, x1, x2, s) * np.exp(1j * shift)
-
-    return corrupted
-
-
-def _suite_residual(config: RunConfig, rng) -> tuple[dict, bool]:
-    params = config.beam
-    count = int(config.verify_options["points"])
-    tol = SUITE_TOLERANCES["residual_exact"]
-    points = sample_points(params, count, rng)
-    exact_reports = [
-        residual_full_wave(params, field_function("exact", params, mode), points)
-        for mode in config.modes
-    ]
-    worst_exact = max(r.max_relative_residual for r in exact_reports)
-    worst_peak = max(r.max_peak_residual for r in exact_reports)
-
-    forward = sample_points(params, count, rng, x3_range=(0.2, 3.0), spread_with="x3")
-    alt_report = residual_full_wave(params, field_function("alternate", params), forward)
-
-    par_reports = [
-        residual_full_wave(params, field_function("paraxial", params, mode), points)
-        for mode in config.modes
-    ]
-    worst_par = max(r.max_relative_residual for r in par_reports)
-    ratio = worst_par / worst_exact
-
-    passed = (
-        worst_peak <= tol
-        and alt_report.max_peak_residual <= SUITE_TOLERANCES["residual_alternate"]
-        and ratio >= SUITE_TOLERANCES["paraxial_ratio_min"]
-    )
-    entry = {
-        "exact": [r.to_dict() for r in exact_reports],
-        "alternate": alt_report.to_dict(),
-        "paraxial": [r.to_dict() for r in par_reports],
-        "max_exact_residual": worst_exact,
-        "max_peak_residual": worst_peak,
-        "paraxial_to_exact_ratio": ratio,
-        "tolerance": tol,
-    }
-    return entry, passed
-
-
-def _suite_reduced(config: RunConfig, rng) -> tuple[dict, bool]:
-    params = config.beam
-    count = int(config.verify_options["points"])
-    lr = params.rayleigh_range
-    s = rng.uniform(-3.0, 3.0, count) * lr
-    w = spot_radius(params, s)
-    x1 = rng.uniform(-1.0, 1.0, count) * 2.0 * w
-    x2 = rng.uniform(-1.0, 1.0, count) * 2.0 * w
-    reports = [
-        residual_reduced(params, _mutant_reduced_envelope(config, mode), (x1, x2, s))
-        for mode in config.modes
-    ]
-    worst = max(r.max_relative_residual for r in reports)
-    worst_peak = max(r.max_peak_residual for r in reports)
-    passed = worst_peak <= SUITE_TOLERANCES["reduced"]
-    return {
-        "reports": [r.to_dict() for r in reports],
-        "max_residual": worst,
-        "max_peak_residual": worst_peak,
-        "tolerance": SUITE_TOLERANCES["reduced"],
-        "mutation": config.verify_options["mutate"],
-    }, passed
-
-
-def _suite_symmetry(config: RunConfig, rng) -> tuple[dict, bool]:
-    params = config.beam
-    count = min(int(config.verify_options["points"]), 100)
-    points = sample_points(params, count, rng)
-    reports = []
-    for mode in config.modes:
-        reports.extend(check_symmetry(
-            params, mode, points, envelope=_mutant_symmetry_envelope(config, mode)
-        ))
-    worst = max(r.max_relative_residual for r in reports)
-    worst_peak = max(r.max_peak_residual for r in reports)
-    passed = worst_peak <= SUITE_TOLERANCES["symmetry"]
-    return {
-        "reports": [r.to_dict() for r in reports],
-        "max_mismatch": worst,
-        "max_peak_residual": worst_peak,
-        "tolerance": SUITE_TOLERANCES["symmetry"],
-        "mutation": config.verify_options["mutate"],
-    }, passed
-
-
-def _suite_gram(config: RunConfig, rng) -> tuple[dict, bool]:
-    params = config.beam
-    constants = {
-        (m.m, m.n): compute_normalization(params, m) for m in GRAM_MODES
-    }
-    reports = [
-        transverse_gram(params, GRAM_MODES, s=plane, constants=constants)
-        for plane in (0.0, 5.0 * params.rayleigh_range)
-    ]
-    worst_off = max(r.max_off_diagonal for r in reports)
-    worst_diag = max(r.max_diagonal_deviation for r in reports)
-    passed = (
-        worst_off < SUITE_TOLERANCES["gram_off_diagonal"]
-        and worst_diag < SUITE_TOLERANCES["gram_diagonal"]
-    )
-    return {
-        "reports": [r.to_dict() for r in reports],
-        "max_off_diagonal": worst_off,
-        "max_diagonal_deviation": worst_diag,
-        "tolerance": SUITE_TOLERANCES["gram_off_diagonal"],
-    }, passed
-
-
-def _suite_normalization(config: RunConfig, rng) -> tuple[dict, bool]:
-    params = config.beam
-    checks = []
-    worst = 0.0
-    for mode in (ModeIndex(0, 0), ModeIndex(1, 0), ModeIndex(2, 1)):
-        numeric = compute_normalization(params, mode)
-        closed = normalization_constant(params, mode)
-        rel = abs(numeric - closed) / closed
-        worst = max(worst, rel)
-        checks.append(
-            {"mode": [mode.m, mode.n], "numeric": numeric, "closed_form": closed, "rel_error": rel}
-        )
-    passed = worst <= SUITE_TOLERANCES["normalization_rel"]
-    return {
-        "checks": checks,
-        "max_rel_error": worst,
-        "tolerance": SUITE_TOLERANCES["normalization_rel"],
-    }, passed
-
-
-def _suite_gouy(config: RunConfig, rng) -> tuple[dict, bool]:
-    params = config.beam
-    lr = params.rayleigh_range
-    s = np.linspace(-10.0 * lr, 10.0 * lr, 401)
-    entries = []
-    passed = True
-    for mode in GOUY_MODES:
-        report = fit_gouy(params, mode, s)
-        _, phase, _ = gouy_phase_samples(params, mode, s)
-        span = float(phase[-1] - phase[0])
-        target_amp = -(1 + mode.total_order)
-        target_span = target_amp * 2.0 * math.atan(10.0)
-        amp_err = abs(report.fitted_amplitude - target_amp)
-        scale_err = abs(report.fitted_scale - lr) / lr
-        span_err = abs(span - target_span)
-        ok = (
-            amp_err <= SUITE_TOLERANCES["gouy_amplitude"]
-            and scale_err <= SUITE_TOLERANCES["gouy_scale_rel"]
-            and span_err <= SUITE_TOLERANCES["gouy_span"]
-        )
-        passed = passed and ok
-        entry = report.to_dict()
-        entry.update(
-            {
-                "amplitude_error": amp_err,
-                "scale_rel_error": scale_err,
-                "span": span,
-                "span_error": span_err,
-                "passed": ok,
-            }
-        )
-        entries.append(entry)
-    return {"fits": entries, "tolerance": SUITE_TOLERANCES["gouy_amplitude"]}, passed
-
-
-def _suite_compare(config: RunConfig, rng) -> tuple[dict, bool]:
-    params = config.beam
-    opts = config.compare_options
-    reports, orders = alternate_correspondence_sweep(
-        params,
-        tuple(opts["paraxialities"]),
-        point_count=int(opts["points"]),
-        rng=np.random.default_rng(int(opts["seed"])),
-    )
-    passed = min(orders) >= float(opts["min_order"])
-    return {
-        "reports": [r.to_dict() for r in reports],
-        "orders": orders,
-        "min_order_required": float(opts["min_order"]),
-    }, passed
-
-
-_SUITES = {
-    "residual": _suite_residual,
-    "reduced": _suite_reduced,
-    "symmetry": _suite_symmetry,
-    "gram": _suite_gram,
-    "normalization": _suite_normalization,
-    "gouy": _suite_gouy,
-    "compare": _suite_compare,
-}
-
-
-def cmd_verify(config: RunConfig, out: str, fmt: str) -> int:
-    if not config.modes:
-        raise ConfigError("verify: the mode list must not be empty")
-    suites = config.verify_options["suites"]
-    unknown = set(suites) - set(_SUITES)
-    if unknown:
-        raise ConfigError(f"verify.suites: unknown suite(s) {sorted(unknown)}")
-
-    rng = np.random.default_rng(int(config.verify_options["seed"]))
-    results = {}
-    failed = []
-    for name in suites:
-        entry, passed = _SUITES[name](config, rng)
-        entry["passed"] = passed
-        results[name] = entry
-        if not passed:
-            failed.append(name)
-        print(f"suite {name}: {'PASS' if passed else 'FAIL'}")
-
-    bundle = {
-        "version": __version__,
-        "natural_units": config.natural_units,
-        "suites": results,
-        "failed_suites": failed,
-        "passed": not failed,
-    }
+def cmd_verify(config: RunConfig, out: str) -> int:
+    bundle = run_battery(config)
+    for name, entry in bundle["suites"].items():
+        print(f"suite {name}: {'PASS' if entry['passed'] else 'FAIL'}")
     text = json.dumps(bundle, sort_keys=True, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if failed:
-        print(f"verification FAILED: {', '.join(failed)}", file=sys.stderr)
+    if bundle["failed_suites"]:
+        print(f"verification FAILED: {', '.join(bundle['failed_suites'])}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -434,20 +163,10 @@ def cmd_gouy(config: RunConfig, out: str, fmt: str) -> int:
         if not config.modes:
             raise ConfigError("gouy: set gouy.mode or a non-empty top-level mode list")
         mode = config.modes[0]
-    lr = params.rayleigh_range
-    s_min = -10.0 * lr if opts["s_min"] is None else float(opts["s_min"])
-    s_max = 10.0 * lr if opts["s_max"] is None else float(opts["s_max"])
-    samples = int(opts["samples"])
-    if not s_min < s_max:
-        raise ConfigError(f"gouy: need s_min < s_max, got ({s_min}, {s_max})")
-
-    s = np.linspace(s_min, s_max, samples)
-    try:
-        s_sorted, phase, path = gouy_phase_samples(params, mode, s, opts["path"])
-        report = fit_gouy(params, mode, s, opts["path"])
-    except ValueError as exc:
-        raise ConfigError(f"gouy: {exc}") from None
+    s = np.linspace(opts["s_min"], opts["s_max"], opts["samples"])
+    s_sorted, phase, _ = gouy_phase_samples(params, mode, s, opts["path"])
     _guard_finite(phase, "extracted phase curve")
+    report = fit_gouy(params, mode, s, opts["path"])
 
     fit_doc = report.to_dict()
     fit_doc["version"] = __version__
@@ -473,10 +192,8 @@ def cmd_gouy(config: RunConfig, out: str, fmt: str) -> int:
         f"scale {report.fitted_scale:.9g}, rms {report.rms_fit_error:.3e}"
     )
     if opts["check"]:
-        target = -(1 + mode.total_order)
-        amp_ok = abs(report.fitted_amplitude - target) <= float(opts["amplitude_tol"])
-        scale_ok = abs(report.fitted_scale - lr) / lr <= float(opts["scale_tol"])
-        if not (amp_ok and scale_ok):
+        amp_err, scale_err = gouy_law_errors(params, report)
+        if not (amp_err <= opts["amplitude_tol"] and scale_err <= opts["scale_tol"]):
             print("gouy fit outside tolerance", file=sys.stderr)
             return EXIT_VERIFY
     return EXIT_OK
@@ -488,18 +205,12 @@ def cmd_gouy(config: RunConfig, out: str, fmt: str) -> int:
 
 
 def cmd_compare(config: RunConfig, out: str, fmt: str) -> int:
-    opts = config.compare_options
-    reports, orders = alternate_correspondence_sweep(
-        config.beam,
-        tuple(opts["paraxialities"]),
-        point_count=int(opts["points"]),
-        rng=np.random.default_rng(int(opts["seed"])),
-    )
-    passed = min(orders) >= float(opts["min_order"])
+    entry, passed = correspondence_check(config.beam, config.compare_options)
+    reports, orders = entry["reports"], entry["orders"]
     for rep in reports:
         print(
-            f"paraxiality {rep.paraxiality:g}: deviation {rep.max_relative_deviation:.6e} "
-            f"over {rep.point_count} points"
+            f"paraxiality {rep['paraxiality']:g}: deviation {rep['max_relative_deviation']:.6e} "
+            f"over {rep['point_count']} points"
         )
     print(f"measured orders: {', '.join(f'{o:.3f}' for o in orders)}")
 
@@ -512,23 +223,17 @@ def cmd_compare(config: RunConfig, out: str, fmt: str) -> int:
                 )
                 + "\nparaxiality,deviation"
             )
-            save_rows(out, header, [[r.paraxiality for r in reports],
-                                    [r.max_relative_deviation for r in reports]])
+            save_rows(out, header, [[r["paraxiality"] for r in reports],
+                                    [r["max_relative_deviation"] for r in reports]])
         else:
-            doc = {
-                "version": __version__,
-                "reports": [r.to_dict() for r in reports],
-                "orders": orders,
-                "min_order_required": float(opts["min_order"]),
-                "passed": passed,
-            }
             with open(out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
+                json.dump({"version": __version__, **entry, "passed": passed}, fh,
+                          sort_keys=True, indent=2)
                 fh.write("\n")
         print(f"wrote comparison report to {out}")
     if not passed:
         print(
-            f"correspondence order below {opts['min_order']}: {min(orders):.3f}",
+            f"correspondence order below {entry['min_order_required']}: {min(orders):.3f}",
             file=sys.stderr,
         )
         return EXIT_VERIFY
@@ -562,25 +267,27 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="output file path" + ("" if name in ("field", "gouy") else " (default: stdout)"),
         )
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format (default csv)")
+        if name != "verify":
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format (default csv)")
         p.add_argument(
             "--natural-units",
             action="store_true",
             help="interpret beam.k as k*w0 and measure lengths in w0, times in w0/v",
         )
-        p.add_argument(
-            "--raw-eq19",
-            action="store_true",
-            help="emit constrained densities without the 2/v time-collapse Jacobian "
-            "(bare squared-envelope convention)",
-        )
+        if name == "field":
+            p.add_argument(
+                "--raw-eq19",
+                action="store_true",
+                help="emit constrained densities without the 2/v time-collapse Jacobian "
+                "(bare squared-envelope convention)",
+            )
     return parser
 
 
+#: The subcommands that take an output format; verify always writes JSON.
 _COMMANDS = {
     "field": cmd_field,
-    "verify": cmd_verify,
     "gouy": cmd_gouy,
     "compare": cmd_compare,
 }
@@ -592,15 +299,18 @@ def main(argv=None) -> int:
         config = load_config(
             args.config,
             natural_units=args.natural_units,
-            include_jacobian=not args.raw_eq19,
+            include_jacobian=not getattr(args, "raw_eq19", False),
         )
+        if args.command == "verify":
+            return cmd_verify(config, args.out)
         return _COMMANDS[args.command](config, args.out, args.format)
     except (ConfigError, ConstraintViolationError, GouyPathError, UnsupportedOrderError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # ArithmeticError covers NumericOverflowError and any stray OverflowError,
-    # FloatingPointError or ZeroDivisionError from the numerics
-    except (ArithmeticError, NonFiniteSampleError, QuadratureConvergenceError) as exc:
+    # FloatingPointError or ZeroDivisionError from the numerics; LinAlgError is
+    # a least-squares fit that failed on overflowed samples
+    except (ArithmeticError, QuadratureConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

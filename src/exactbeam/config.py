@@ -13,12 +13,14 @@ range regardless of the physical wavelength.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .beam import FIELD_FAMILIES, BeamParams, ModeIndex
 from .constraint import VARIANTS, ConstraintKind
 from .errors import ConfigError
 from .gridio import AxisSpec
+from .verify import GOUY_PATHS, MUTATIONS, SUITES
 
 QUANTITIES = ("psi", "density", "angular_limit")
 
@@ -29,10 +31,9 @@ _DENSITY_COORDS = {"r", "theta", "phi"}
 _ANGULAR_COORDS = {"theta", "phi"}
 
 VERIFY_DEFAULTS = {
-    "suites": ["residual", "reduced", "symmetry", "gram", "normalization", "gouy", "compare"],
+    "suites": list(SUITES),
     "points": 200,
     "seed": 1,
-    "max_total_order": 2,
     "mutate": "none",
 }
 
@@ -53,8 +54,6 @@ COMPARE_DEFAULTS = {
     "seed": 7,
     "min_order": 1.8,
 }
-
-MUTATIONS = ("none", "t_independent_envelope", "gouy_w0_1pct")
 
 
 @dataclass(frozen=True)
@@ -81,12 +80,71 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _merged(defaults: dict, given: dict, section: str) -> dict:
+def _merged(defaults: dict, given, section: str) -> dict:
+    _require(isinstance(given, dict), f"{section}: must be an object")
     unknown = set(given) - set(defaults)
     _require(not unknown, f"{section}: unknown option(s) {sorted(unknown)}")
     out = dict(defaults)
     out.update(given)
     return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number within float range; NaN fails the comparison."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _check(options: dict, section: str, key: str, valid, want: str) -> None:
+    _require(valid(options[key]), f"{section}.{key}: must be {want}, got {options[key]!r}")
+
+
+def _parse_verify(given) -> dict:
+    opts = _merged(VERIFY_DEFAULTS, given, "verify")
+    _check(opts, "verify", "suites",
+           lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v)
+           and set(v) <= set(SUITES) and len(set(v)) == len(v),
+           f"a non-empty list of distinct suites from {list(SUITES)}")
+    _check(opts, "verify", "points", lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+    _check(opts, "verify", "seed", lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+    _check(opts, "verify", "mutate", lambda v: v in MUTATIONS, f"one of {MUTATIONS}")
+    return opts
+
+
+def _parse_gouy(given, beam: BeamParams) -> dict:
+    opts = _merged(GOUY_DEFAULTS, given, "gouy")
+    if opts["mode"] is not None:
+        opts["mode"] = _mode_pair(opts["mode"], "gouy.mode")
+    for key, default in (("s_min", -10.0), ("s_max", 10.0)):
+        if opts[key] is None:
+            opts[key] = default * beam.rayleigh_range
+        _check(opts, "gouy", key, _is_number, "a number or null")
+        opts[key] = float(opts[key])
+    _require(opts["s_min"] < opts["s_max"],
+             f"gouy: need s_min < s_max, got ({opts['s_min']}, {opts['s_max']})")
+    _check(opts, "gouy", "samples", lambda v: _is_int(v) and v >= 10, "an integer >= 10")
+    _check(opts, "gouy", "path", lambda v: v in GOUY_PATHS, f"one of {GOUY_PATHS}")
+    _check(opts, "gouy", "check", lambda v: isinstance(v, bool), "true or false")
+    for key in ("amplitude_tol", "scale_tol"):
+        _check(opts, "gouy", key, lambda v: _is_number(v) and v >= 0, "a number >= 0")
+    return opts
+
+
+def _parse_compare(given) -> dict:
+    opts = _merged(COMPARE_DEFAULTS, given, "compare")
+    _check(opts, "compare", "paraxialities",
+           lambda v: isinstance(v, list) and len(v) >= 2
+           and all(_is_number(p) and 0 < p <= 0.05 for p in v) and len(set(v)) == len(v),
+           "a list of at least two distinct values in (0, 0.05]")
+    _check(opts, "compare", "points", lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+    _check(opts, "compare", "seed", lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+    _check(opts, "compare", "min_order", _is_number, "a number")
+    opts["min_order"] = float(opts["min_order"])
+    return opts
 
 
 def _parse_beam(doc: dict, natural_units: bool) -> BeamParams:
@@ -113,32 +171,27 @@ def _parse_beam(doc: dict, natural_units: bool) -> BeamParams:
         raise ConfigError(f"beam: {exc}") from None
 
 
+def _mode_pair(pair, where: str) -> ModeIndex:
+    _require(isinstance(pair, (list, tuple)) and len(pair) == 2, f"{where}: must be an [m, n] pair")
+    try:
+        return ModeIndex(int(pair[0]), int(pair[1]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _parse_modes(doc: dict) -> tuple:
     modes = doc.get("modes", [])
     _require(isinstance(modes, list), "modes: must be a list of [m, n] pairs")
-    out = []
-    for i, pair in enumerate(modes):
-        _require(
-            isinstance(pair, (list, tuple)) and len(pair) == 2,
-            f"modes[{i}]: must be an [m, n] pair",
-        )
-        try:
-            out.append(ModeIndex(int(pair[0]), int(pair[1])))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"modes[{i}]: {exc}") from None
-    return tuple(out)
+    return tuple(_mode_pair(pair, f"modes[{i}]") for i, pair in enumerate(modes))
 
 
 def _parse_constraint(section, where: str) -> ConstraintKind:
     _require(isinstance(section, dict), f"{where}: must be an object")
-    unknown = set(section) - {"kind", "tolerance"}
+    unknown = set(section) - {"kind"}
     _require(not unknown, f"{where}: unknown field(s) {sorted(unknown)}")
     kind = section.get("kind", "exact_fE")
     _require(kind in VARIANTS, f"{where}.kind: unknown variant {kind!r}, choose from {VARIANTS}")
-    try:
-        return ConstraintKind(kind, float(section.get("tolerance", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return ConstraintKind(kind)
 
 
 def _parse_grid(doc: dict, quantity: str, default_constraint: ConstraintKind):
@@ -219,22 +272,6 @@ def parse_config(doc: dict, *, natural_units: bool = False,
     constraint = _parse_constraint(doc.get("constraint", {}), "constraint")
     axes, fixed, time_mode, fixed_t, time_kind = _parse_grid(doc, quantity, constraint)
 
-    verify_options = _merged(VERIFY_DEFAULTS, doc.get("verify", {}), "verify")
-    _require(verify_options["mutate"] in MUTATIONS,
-             f"verify.mutate: unknown mutation {verify_options['mutate']!r}, choose from {MUTATIONS}")
-    gouy_options = _merged(GOUY_DEFAULTS, doc.get("gouy", {}), "gouy")
-    if gouy_options["mode"] is not None:
-        pair = gouy_options["mode"]
-        _require(isinstance(pair, (list, tuple)) and len(pair) == 2, "gouy.mode: must be an [m, n] pair")
-        try:
-            gouy_options["mode"] = ModeIndex(int(pair[0]), int(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"gouy.mode: {exc}") from None
-    compare_options = _merged(COMPARE_DEFAULTS, doc.get("compare", {}), "compare")
-    ps = compare_options["paraxialities"]
-    _require(isinstance(ps, list) and len(ps) >= 2 and all(0 < p <= 0.05 for p in ps),
-             "compare.paraxialities: need a list of at least two values in (0, 0.05]")
-
     return RunConfig(
         beam=beam,
         modes=modes,
@@ -247,9 +284,9 @@ def parse_config(doc: dict, *, natural_units: bool = False,
         time_constraint=time_kind,
         include_jacobian=include_jacobian,
         natural_units=natural_units,
-        verify_options=verify_options,
-        gouy_options=gouy_options,
-        compare_options=compare_options,
+        verify_options=_parse_verify(doc.get("verify", {})),
+        gouy_options=_parse_gouy(doc.get("gouy", {}), beam),
+        compare_options=_parse_compare(doc.get("compare", {})),
         echo=doc,
     )
 

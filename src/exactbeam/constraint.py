@@ -29,16 +29,13 @@ VARIANTS = ("paraxial_fP", "exact_fE")
 
 @dataclass(frozen=True)
 class ConstraintKind:
-    """Constraint-surface selector with an on-surface tolerance (length units)."""
+    """Constraint-surface selector."""
 
     variant: str
-    tolerance: float = 0.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown constraint variant {self.variant!r}; choose from {VARIANTS}")
-        if self.tolerance < 0:
-            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
 
 
 PARAXIAL_FP = ConstraintKind("paraxial_fP")
@@ -46,7 +43,7 @@ EXACT_FE = ConstraintKind("exact_fE")
 
 
 def eval_constraint(kind: ConstraintKind, params: BeamParams, p) -> float:
-    """Signed constraint value (length); zero within tolerance means on-surface."""
+    """Signed constraint value (length); zero means on-surface."""
     if kind.variant == "paraxial_fP":
         return np.asarray(p.x3) - params.v * np.asarray(p.t)
     return p.r - 0.5 * (np.asarray(p.x3) + params.v * np.asarray(p.t))

@@ -5,10 +5,6 @@ class UnsupportedOrderError(ValueError):
     """Hermite order outside the range the recurrence supports at double precision."""
 
 
-class NonFiniteSampleError(ValueError):
-    """A quadrature node produced a non-finite integrand sample."""
-
-
 class QuadratureConvergenceError(RuntimeError):
     """A quadrature result did not stabilize under node refinement."""
 

@@ -66,24 +66,18 @@ def hermite(order: int, x):
 # quadrature
 # ---------------------------------------------------------------------------
 
-SCHEMES = ("gauss-legendre-on-interval", "tanh-sinh", "trapezoid-uniform")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor-product quadrature rule on a rectangle.
+    """Tensor-product Gauss-Legendre rule on a rectangle.
 
     ``domain`` is either a single ``(lo, hi)`` interval applied to every
     axis or a tuple of per-axis intervals.
     """
 
-    scheme: str = "gauss-legendre-on-interval"
     node_count: int = 96
     domain: tuple = ((-8.0, 8.0),)
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.node_count < 2:
             raise ValueError(f"node_count must be >= 2, got {self.node_count}")
         dom = self.domain
@@ -103,7 +97,7 @@ class QuadratureSpec:
         return self.domain[axis]
 
     def with_nodes(self, node_count: int) -> "QuadratureSpec":
-        return QuadratureSpec(self.scheme, node_count, self.domain)
+        return QuadratureSpec(node_count, self.domain)
 
 
 @functools.lru_cache(maxsize=16)
@@ -115,32 +109,12 @@ def _legendre_rule(n: int):
     return x, w
 
 
-def _nodes_weights(scheme: str, n: int, lo: float, hi: float):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    if scheme == "gauss-legendre-on-interval":
-        x, w = _legendre_rule(n)
-        return mid + half * x, half * w
-    if scheme == "tanh-sinh":
-        # uniform trapezoid in the u variable; U = 3 keeps the weight tail
-        # below double-precision relevance for smooth integrands
-        u = np.linspace(-3.0, 3.0, n)
-        du = u[1] - u[0]
-        sh = 0.5 * np.pi * np.sinh(u)
-        x = mid + half * np.tanh(sh)
-        w = half * (0.5 * np.pi) * np.cosh(u) / np.cosh(sh) ** 2 * du
-        return x, w
-    # trapezoid-uniform
-    x = np.linspace(lo, hi, n)
-    h = x[1] - x[0]
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return x, w
-
-
 def quadrature_nodes(spec: QuadratureSpec, axis: int = 0):
     """Nodes and weights of ``spec``'s rule on the given axis interval."""
-    return _nodes_weights(spec.scheme, spec.node_count, *spec.interval(axis))
+    lo, hi = spec.interval(axis)
+    half = 0.5 * (hi - lo)
+    x, w = _legendre_rule(spec.node_count)
+    return 0.5 * (hi + lo) + half * x, half * w
 
 
 # ---------------------------------------------------------------------------

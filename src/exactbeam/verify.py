@@ -6,15 +6,21 @@ finite differences, orthonormality uses quadrature, the axial phase law
 is recovered by nonlinear fitting, and the two exact Gaussian families
 are compared through a scale-free fitted constant. Reports are plain
 frozen dataclasses with ``to_dict`` for JSON export.
+
+The battery that ``beam verify`` runs is the ``SUITES`` registry at the
+end of this module: each suite is declared there once, with its runner,
+its tolerances and the mutants it must reject; ``run_battery`` runs it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .beam import (
     BeamParams,
     ModeIndex,
@@ -22,10 +28,11 @@ from .beam import (
     alternate_exact_psi,
     envelope_phi,
     exact_psi,
+    field_function,
     normalization_constant,
     spot_radius,
 )
-from .errors import GouyPathError, QuadratureConvergenceError
+from .errors import ConfigError, GouyPathError, QuadratureConvergenceError
 from .numerics import (
     QuadratureSpec,
     StencilSpec,
@@ -430,7 +437,7 @@ def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, x3_step=None,
 
 def _default_gram_quad(params: BeamParams, s: float, node_count: int = 96) -> QuadratureSpec:
     half = 8.0 * spot_radius(params, s) / math.sqrt(2.0)
-    return QuadratureSpec("gauss-legendre-on-interval", node_count, ((-half, half),))
+    return QuadratureSpec(node_count, ((-half, half),))
 
 
 def _gram_matrix(params, modes, s, quad, constants):
@@ -546,6 +553,10 @@ def hermite_ridge_offset(order: int) -> float:
             hi = mid
 
 
+#: Phase-extraction paths of :func:`gouy_phase_samples`.
+GOUY_PATHS = ("auto", "axis", "ridge")
+
+
 def gouy_phase_samples(params: BeamParams, mode: ModeIndex, s_samples, path: str = "auto"):
     """Unwrapped axial-law phase along the axis or the transverse ridge.
 
@@ -580,7 +591,7 @@ def gouy_phase_samples(params: BeamParams, mode: ModeIndex, s_samples, path: str
         values = envelope_phi(params, mode, xi1 * w / np.sqrt(2.0), xi2 * w / np.sqrt(2.0), s)
         phase = np.unwrap(np.angle(values)) - (xi1**2 + xi2**2) * s / (2.0 * lr)
     else:
-        raise ValueError(f"unknown path {path!r}; choose 'auto', 'axis' or 'ridge'")
+        raise ValueError(f"unknown path {path!r}; choose from {GOUY_PATHS}")
     return s, phase, path
 
 
@@ -698,3 +709,270 @@ def alternate_correspondence_sweep(params: BeamParams,
         for i in range(len(reports) - 1)
     ]
     return reports, orders
+
+
+def gouy_law_errors(params: BeamParams, report: GouyFitReport) -> tuple[float, float]:
+    """Errors of a Gouy fit against the law A = -(1+m+n), B = L_R.
+
+    Returns the amplitude error |A + 1 + m + n| and the relative scale
+    error |B - L_R| / L_R; each caller applies its own tolerances.
+    """
+    lr = params.rayleigh_range
+    target = -(1 + report.mode.total_order)
+    return abs(report.fitted_amplitude - target), abs(report.fitted_scale - lr) / lr
+
+
+def correspondence_check(params: BeamParams, options: dict) -> tuple[dict, bool]:
+    """Paraxiality sweep of the two exact Gaussian families, and its verdict.
+
+    ``options`` is a validated ``compare`` config section: ``paraxialities``,
+    ``points``, ``seed`` and ``min_order``. Returns the report entry (the
+    sweep's reports, measured orders and the required order) and whether
+    every measured order reaches ``min_order``.
+    """
+    reports, orders = alternate_correspondence_sweep(
+        params,
+        tuple(options["paraxialities"]),
+        point_count=options["points"],
+        rng=np.random.default_rng(options["seed"]),
+    )
+    entry = {
+        "reports": [r.to_dict() for r in reports],
+        "orders": orders,
+        "min_order_required": options["min_order"],
+    }
+    return entry, min(orders) >= options["min_order"]
+
+
+# ---------------------------------------------------------------------------
+# the verification battery
+# ---------------------------------------------------------------------------
+
+#: Fixed mode sets of the suites that do not read the configured modes.
+GRAM_MODES = tuple(ModeIndex(m, n) for m in range(3) for n in range(3))
+NORMALIZATION_MODES = (ModeIndex(0, 0), ModeIndex(1, 0), ModeIndex(2, 1))
+GOUY_MODES = (ModeIndex(0, 0), ModeIndex(2, 0), ModeIndex(2, 2))
+
+
+def _static_envelope(params: BeamParams, mode: ModeIndex):
+    """Mutant: an envelope of x3 alone, blind to t."""
+    return lambda x1, x2, x3, t: envelope_phi(params, mode, x1, x2, x3)
+
+
+def _waist_envelope(params: BeamParams, mode: ModeIndex):
+    """Mutant: the envelope with the axial phase law of a waist 1% too wide."""
+    lr_bad = 0.5 * params.k * (1.01 * params.w0) ** 2
+
+    def corrupted(x1, x2, s):
+        shift = (1 + mode.total_order) * (
+            np.arctan(np.asarray(s) / params.rayleigh_range) - np.arctan(np.asarray(s) / lr_bad)
+        )
+        return envelope_phi(params, mode, x1, x2, s) * np.exp(1j * shift)
+
+    return corrupted
+
+
+def _residual_suite(config, rng, tol, mutant):
+    params = config.beam
+    count = config.verify_options["points"]
+    points = sample_points(params, count, rng)
+    exact_reports = [
+        residual_full_wave(params, field_function("exact", params, mode), points)
+        for mode in config.modes
+    ]
+    worst_exact = max(r.max_relative_residual for r in exact_reports)
+    worst_peak = max(r.max_peak_residual for r in exact_reports)
+
+    forward = sample_points(params, count, rng, x3_range=(0.2, 3.0), spread_with="x3")
+    alt_report = residual_full_wave(params, field_function("alternate", params), forward)
+
+    par_reports = [
+        residual_full_wave(params, field_function("paraxial", params, mode), points)
+        for mode in config.modes
+    ]
+    worst_par = max(r.max_relative_residual for r in par_reports)
+    ratio = worst_par / worst_exact
+
+    passed = (
+        worst_peak <= tol["residual_exact"]
+        and alt_report.max_peak_residual <= tol["residual_alternate"]
+        and ratio >= tol["paraxial_ratio_min"]
+    )
+    return {
+        "exact": [r.to_dict() for r in exact_reports],
+        "alternate": alt_report.to_dict(),
+        "paraxial": [r.to_dict() for r in par_reports],
+        "max_exact_residual": worst_exact,
+        "max_peak_residual": worst_peak,
+        "paraxial_to_exact_ratio": ratio,
+        "tolerance": tol["residual_exact"],
+    }, passed
+
+
+def _reduced_suite(config, rng, tol, mutant):
+    params = config.beam
+    count = config.verify_options["points"]
+    s = rng.uniform(-3.0, 3.0, count) * params.rayleigh_range
+    w = spot_radius(params, s)
+    x1 = rng.uniform(-1.0, 1.0, count) * 2.0 * w
+    x2 = rng.uniform(-1.0, 1.0, count) * 2.0 * w
+    reports = [
+        residual_reduced(params, mode if mutant is None else mutant(params, mode), (x1, x2, s))
+        for mode in config.modes
+    ]
+    worst_peak = max(r.max_peak_residual for r in reports)
+    return {
+        "reports": [r.to_dict() for r in reports],
+        "max_residual": max(r.max_relative_residual for r in reports),
+        "max_peak_residual": worst_peak,
+        "tolerance": tol["reduced"],
+    }, worst_peak <= tol["reduced"]
+
+
+def _symmetry_suite(config, rng, tol, mutant):
+    params = config.beam
+    points = sample_points(params, min(config.verify_options["points"], 100), rng)
+    reports = []
+    for mode in config.modes:
+        envelope = None if mutant is None else mutant(params, mode)
+        reports.extend(check_symmetry(params, mode, points, envelope=envelope))
+    worst_peak = max(r.max_peak_residual for r in reports)
+    return {
+        "reports": [r.to_dict() for r in reports],
+        "max_mismatch": max(r.max_relative_residual for r in reports),
+        "max_peak_residual": worst_peak,
+        "tolerance": tol["symmetry"],
+    }, worst_peak <= tol["symmetry"]
+
+
+def _gram_suite(config, rng, tol, mutant):
+    params = config.beam
+    constants = {(m.m, m.n): compute_normalization(params, m) for m in GRAM_MODES}
+    reports = [
+        transverse_gram(params, GRAM_MODES, s=plane, constants=constants)
+        for plane in (0.0, 5.0 * params.rayleigh_range)
+    ]
+    worst_off = max(r.max_off_diagonal for r in reports)
+    worst_diag = max(r.max_diagonal_deviation for r in reports)
+    return {
+        "reports": [r.to_dict() for r in reports],
+        "max_off_diagonal": worst_off,
+        "max_diagonal_deviation": worst_diag,
+        "tolerance": tol["gram_off_diagonal"],
+    }, worst_off < tol["gram_off_diagonal"] and worst_diag < tol["gram_diagonal"]
+
+
+def _normalization_suite(config, rng, tol, mutant):
+    params = config.beam
+    checks = []
+    for mode in NORMALIZATION_MODES:
+        numeric = compute_normalization(params, mode)
+        closed = normalization_constant(params, mode)
+        checks.append({"mode": [mode.m, mode.n], "numeric": numeric, "closed_form": closed,
+                       "rel_error": abs(numeric - closed) / closed})
+    worst = max(c["rel_error"] for c in checks)
+    return {
+        "checks": checks,
+        "max_rel_error": worst,
+        "tolerance": tol["normalization_rel"],
+    }, worst <= tol["normalization_rel"]
+
+
+def _gouy_suite(config, rng, tol, mutant):
+    params = config.beam
+    lr = params.rayleigh_range
+    s = np.linspace(-10.0 * lr, 10.0 * lr, 401)
+    entries = []
+    passed = True
+    for mode in GOUY_MODES:
+        report = fit_gouy(params, mode, s)
+        _, phase, _ = gouy_phase_samples(params, mode, s)
+        amp_err, scale_err = gouy_law_errors(params, report)
+        span = float(phase[-1] - phase[0])
+        target_span = -(1 + mode.total_order) * 2.0 * math.atan(10.0)
+        span_err = abs(span - target_span)
+        ok = (
+            amp_err <= tol["gouy_amplitude"]
+            and scale_err <= tol["gouy_scale_rel"]
+            and span_err <= tol["gouy_span"]
+        )
+        passed = passed and ok
+        entries.append({**report.to_dict(), "amplitude_error": amp_err,
+                        "scale_rel_error": scale_err, "span": span, "span_error": span_err,
+                        "passed": ok})
+    return {"fits": entries, "tolerance": tol["gouy_amplitude"]}, passed
+
+
+def _compare_suite(config, rng, tol, mutant):
+    return correspondence_check(config.beam, config.compare_options)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One battery entry.
+
+    ``run(config, rng, tolerances, mutant)`` returns the suite's bundle
+    entry and verdict. ``mutants`` maps each mutant name the suite must
+    FAIL to its builder ``(params, mode) -> envelope``; the selected one
+    reaches ``run`` as ``mutant``, otherwise ``mutant`` is None.
+    """
+
+    run: Callable
+    tolerances: dict
+    mutants: dict = field(default_factory=dict)
+
+
+#: The battery, in run order: each suite with its tolerances and its mutants.
+SUITES = {
+    "residual": Suite(_residual_suite, {"residual_exact": 1e-6, "residual_alternate": 1e-6,
+                                        "paraxial_ratio_min": 1e3}),
+    "reduced": Suite(_reduced_suite, {"reduced": 1e-6}, {"gouy_w0_1pct": _waist_envelope}),
+    "symmetry": Suite(_symmetry_suite, {"symmetry": 1e-7},
+                      {"t_independent_envelope": _static_envelope}),
+    "gram": Suite(_gram_suite, {"gram_off_diagonal": 1e-9, "gram_diagonal": 1e-9}),
+    "normalization": Suite(_normalization_suite, {"normalization_rel": 1e-10}),
+    "gouy": Suite(_gouy_suite, {"gouy_amplitude": 1e-6, "gouy_scale_rel": 1e-6,
+                                "gouy_span": 1e-6}),
+    "compare": Suite(_compare_suite, {}),  # its threshold is compare.min_order
+}
+
+#: Every suite's pass/fail thresholds in one mapping.
+SUITE_TOLERANCES = {key: tol for suite in SUITES.values() for key, tol in suite.tolerances.items()}
+
+#: Valid ``verify.mutate`` values: "none" and every mutant a suite declares.
+MUTATIONS = ("none", *(name for suite in SUITES.values() for name in suite.mutants))
+
+
+def run_battery(config) -> dict:
+    """Run the configured suites in order and return the verify bundle.
+
+    ``config`` is a parsed run configuration: its beam, modes,
+    ``verify_options`` (validated ``suites``, ``points``, ``seed``,
+    ``mutate``) and ``compare_options``. One generator seeded with
+    ``verify.seed`` feeds the suites in turn, so a suite's sample depends
+    on the suites run before it. The entries of suites that declare
+    mutants record the ``mutation`` in force.
+    """
+    if not config.modes:
+        raise ConfigError("verify: the mode list must not be empty")
+    options = config.verify_options
+    rng = np.random.default_rng(options["seed"])
+    results = {}
+    failed = []
+    for name in options["suites"]:
+        suite = SUITES[name]
+        entry, passed = suite.run(config, rng, suite.tolerances,
+                                  suite.mutants.get(options["mutate"]))
+        if suite.mutants:
+            entry["mutation"] = options["mutate"]
+        entry["passed"] = passed
+        results[name] = entry
+        if not passed:
+            failed.append(name)
+    return {
+        "version": __version__,
+        "natural_units": config.natural_units,
+        "suites": results,
+        "failed_suites": failed,
+        "passed": not failed,
+    }

@@ -288,6 +288,16 @@ class TestGouy:
         assert rc == 1
         assert "outside tolerance" in capsys.readouterr().err
 
+    def test_failed_fit_is_numeric_guard(self, tmp_path, capsys):
+        # s near the float limit overflows the fit's Jacobian, and the least-squares step fails
+        doc = {"beam": {"k": 50}, "modes": [[0, 0]],
+               "gouy": {"s_min": 1e300, "s_max": 1.7e308}}
+        with np.errstate(all="ignore"):
+            rc = main(["gouy", "--config", config_path(tmp_path, doc), "--out",
+                       str(tmp_path / "gouy.csv"), "--natural-units"])
+        assert rc == 3
+        assert "numeric guard:" in capsys.readouterr().err
+
     def test_no_mode_anywhere_rejected(self, tmp_path):
         doc = {"beam": {"k": 50}}
         out = tmp_path / "gouy.csv"
@@ -366,6 +376,38 @@ class TestConfigErrors:
         out = tmp_path / "f.csv"
         assert main(["field", "--config", config_path(tmp_path, doc), "--out", str(out),
                      "--natural-units"]) == 2
+
+
+BAD_SECTION_VALUES = [
+    ("verify", "points", "abc"), ("verify", "points", 0), ("verify", "seed", -1),
+    ("verify", "suites", []), ("verify", "suites", ["gram", "gram"]),
+    ("verify", "max_total_order", 2),
+    ("compare", "paraxialities", ["a", 0.01]), ("compare", "paraxialities", [0.01, 0.01]),
+    ("compare", "points", "x"), ("compare", "points", 0), ("compare", "points", 1),
+    ("compare", "seed", -3), ("compare", "min_order", "x"), ("compare", "min_order", None),
+    ("gouy", "samples", "abc"), ("gouy", "s_min", "x"), ("gouy", "amplitude_tol", "x"),
+    ("constraint", "tolerance", 0.1),
+]
+
+
+@pytest.mark.parametrize("section,key,value", BAD_SECTION_VALUES,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_SECTION_VALUES])
+def test_bad_section_value_is_config_error(tmp_path, capsys, section, key, value):
+    doc = {"beam": {"k": 50}, "modes": [[0, 0]], section: {key: value}}
+    command = "verify" if section == "constraint" else section
+    rc = main([command, "--config", config_path(tmp_path, doc), "--out",
+               str(tmp_path / "out.json"), "--natural-units"])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--format", "json"], ["verify", "--raw-eq19"],
+                                  ["gouy", "--raw-eq19"], ["compare", "--raw-eq19"]])
+def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, argv):
+    path = config_path(tmp_path, {"beam": {"k": 50}, "modes": [[0, 0]]})
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--config", path, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
 
 
 class TestEntryPoint:

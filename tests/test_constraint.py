@@ -27,13 +27,10 @@ class TestConstraintKind:
     def test_singletons(self):
         assert PARAXIAL_FP.variant == "paraxial_fP"
         assert EXACT_FE.variant == "exact_fE"
-        assert PARAXIAL_FP.tolerance == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ConstraintKind("comoving")
-        with pytest.raises(ValueError):
-            ConstraintKind("paraxial_fP", tolerance=-1e-9)
 
 
 class TestEvalConstraint:

@@ -42,7 +42,8 @@ from exactbeam import (
     spot_radius,
     transverse_gram,
 )
-from exactbeam.cli import SUITE_TOLERANCES
+from exactbeam.config import parse_config
+from exactbeam.verify import SUITE_TOLERANCES, SUITES, run_battery
 
 
 class TestReports:
@@ -239,6 +240,33 @@ def test_reduced_default_step_margin(kw0):
     assert mutant.max_peak_residual >= 1e-2
 
 
+#: The suites that declare mutants, run together so a mutant that trips a
+#: neighbouring suite shows up too.
+MUTANT_SUITES = [name for name, suite in SUITES.items() if suite.mutants]
+
+
+def _battery(kw0, mutate):
+    config = parse_config({"beam": {"k": kw0}, "modes": [[0, 0], [3, 2]],
+                           "verify": {"suites": MUTANT_SUITES, "points": 200, "mutate": mutate}},
+                          natural_units=True)
+    return run_battery(config)
+
+
+@pytest.mark.parametrize("kw0", [5.0, 50.0, 1e3, 1e4])
+@pytest.mark.parametrize("suite,mutant",
+                         [(name, m) for name in MUTANT_SUITES for m in SUITES[name].mutants])
+def test_declared_mutant_fails_exactly_its_suite(suite, mutant, kw0):
+    bundle = _battery(kw0, mutant)
+    assert bundle["failed_suites"] == [suite]
+    assert bundle["suites"][suite]["mutation"] == mutant
+
+
+@pytest.mark.parametrize("kw0", [5.0, 50.0, 1e3, 1e4])
+def test_unmutated_field_passes_mutant_suites(kw0):
+    bundle = _battery(kw0, "none")
+    assert bundle["passed"] and list(bundle["suites"]) == MUTANT_SUITES
+
+
 class TestSymmetry:
     def test_honest_envelope(self, beam50, rng):
         first, second = check_symmetry(
@@ -276,7 +304,7 @@ class TestOrthonormality:
 
     def test_underresolved_quadrature_rejected(self, beam50):
         half = 8.0 * beam50.w0 / math.sqrt(2.0)
-        coarse = QuadratureSpec("gauss-legendre-on-interval", 8, ((-half, half),))
+        coarse = QuadratureSpec(8, ((-half, half),))
         with pytest.raises(QuadratureConvergenceError):
             transverse_gram(beam50, self.MODES, quad=coarse)
 
