@@ -52,7 +52,8 @@ BRANCH_CUT_TOL = 1e-6
 #: Points per block of the elementwise field kernels: each float64
 #: temporary of a block is 128 KiB, so a block's working set stays in
 #: the L2 cache and a call holds a few blocks of temporaries beside its
-#: output.
+#: output. That is exactly glibc's default mmap threshold, so each would be a
+#: fresh mmap; hence the CLI's allocator policy (``cli._keep_freed_memory``).
 BLOCK_POINTS = 16_384
 
 #: 2*pi in three parts for the phase reduction of ``_phasor``: the first

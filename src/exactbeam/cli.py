@@ -164,12 +164,11 @@ def cmd_gouy(config: RunConfig, out: str, fmt: str) -> int:
             raise ConfigError("gouy: set gouy.mode or a non-empty top-level mode list")
         mode = config.modes[0]
     s = np.linspace(opts["s_min"], opts["s_max"], opts["samples"])
-    s_sorted, phase, _ = gouy_phase_samples(params, mode, s, opts["path"])
+    s_sorted, phase, _ = curve = gouy_phase_samples(params, mode, s, opts["path"])
     _guard_finite(phase, "extracted phase curve")
-    report = fit_gouy(params, mode, s, opts["path"])
+    report = fit_gouy(params, mode, s, curve=curve)
 
-    fit_doc = report.to_dict()
-    fit_doc["version"] = __version__
+    fit_doc = {**report.to_dict(), "version": __version__}
     if fmt == "csv":
         header = "# " + json.dumps(fit_doc, sort_keys=True) + "\ns,phase"
         save_rows(out, header, [s_sorted, phase])
@@ -179,9 +178,7 @@ def cmd_gouy(config: RunConfig, out: str, fmt: str) -> int:
             fh.write("\n")
         print(f"wrote phase curve to {out} and fit report to {fit_path}")
     else:
-        doc = dict(fit_doc)
-        doc["s"] = s_sorted.tolist()
-        doc["phase"] = phase.tolist()
+        doc = {**fit_doc, "s": s_sorted.tolist(), "phase": phase.tolist()}
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -293,7 +290,20 @@ _COMMANDS = {
 }
 
 
+def _keep_freed_memory() -> bool:
+    """Have glibc keep freed memory for reuse (see ``beam.BLOCK_POINTS``); True if it took."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # M_MMAP_THRESHOLD (-3) at glibc's 32 MiB dynamic ceiling, M_TRIM_THRESHOLD (-1) at 64 MiB
+        return (mallopt(-3, 32 << 20), mallopt(-1, 64 << 20)) == (1, 1)
+    except (OSError, AttributeError, TypeError):
+        return False
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         config = load_config(

@@ -240,7 +240,9 @@ def _parse_grid(doc: dict, quantity: str, default_constraint: ConstraintKind):
         if mode == "fixed":
             unknown = set(time_section) - {"mode", "t"}
             _require(not unknown, f"grid.time: unknown field(s) {sorted(unknown)}")
-            fixed_t = float(time_section.get("t", 0.0))
+            fixed_t = time_section.get("t", 0.0)
+            _require(_is_number(fixed_t), f"grid.time.t: must be a number, got {fixed_t!r}")
+            fixed_t = float(fixed_t)
         elif mode == "constraint":
             unknown = set(time_section) - {"mode", "kind"}
             _require(not unknown, f"grid.time: unknown field(s) {sorted(unknown)}")

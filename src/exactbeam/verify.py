@@ -629,14 +629,16 @@ def _fit_arctan(s, phase, p0):
     return tuple(float(c) for c in coef)
 
 
-def fit_gouy(params: BeamParams, mode: ModeIndex, s_samples, path: str = "auto") -> GouyFitReport:
+def fit_gouy(params: BeamParams, mode: ModeIndex, s_samples, path: str = "auto", *,
+             curve=None) -> GouyFitReport:
     """Recover the axial phase law by fitting A*arctan(s/B) + c0.
 
-    The phase curve comes from :func:`gouy_phase_samples`; the expected
-    fit for these envelopes is A = -(1+m+n), B = L_R, with the constant
-    absorbing the transverse profile's sign at the sampling path.
+    The phase curve is ``curve``, a result of :func:`gouy_phase_samples`
+    for these arguments, or is sampled here; the expected fit for these
+    envelopes is A = -(1+m+n), B = L_R, with the constant absorbing the
+    transverse profile's sign at the sampling path.
     """
-    s, phase, path = gouy_phase_samples(params, mode, s_samples, path)
+    s, phase, path = curve if curve is not None else gouy_phase_samples(params, mode, s_samples, path)
     lr = params.rayleigh_range
     amp0 = (phase[-1] - phase[0]) / (math.atan2(s[-1], lr) - math.atan2(s[0], lr))
     mid = s.size // 2
@@ -885,8 +887,8 @@ def _gouy_suite(config, rng, tol, mutant):
     entries = []
     passed = True
     for mode in GOUY_MODES:
-        report = fit_gouy(params, mode, s)
-        _, phase, _ = gouy_phase_samples(params, mode, s)
+        _, phase, _ = curve = gouy_phase_samples(params, mode, s)
+        report = fit_gouy(params, mode, s, curve=curve)
         amp_err, scale_err = gouy_law_errors(params, report)
         span = float(phase[-1] - phase[0])
         target_span = -(1 + mode.total_order) * 2.0 * math.atan(10.0)

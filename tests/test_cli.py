@@ -1,10 +1,16 @@
+import ctypes
 import json
+import os
+import platform
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exactbeam
 from exactbeam import (
     BeamParams,
     ModeIndex,
@@ -13,7 +19,7 @@ from exactbeam import (
     normalization_constant,
     spot_radius,
 )
-from exactbeam.cli import main
+from exactbeam.cli import _keep_freed_memory, main
 from exactbeam.gridio import load, load_csv
 
 
@@ -387,14 +393,18 @@ BAD_SECTION_VALUES = [
     ("compare", "seed", -3), ("compare", "min_order", "x"), ("compare", "min_order", None),
     ("gouy", "samples", "abc"), ("gouy", "s_min", "x"), ("gouy", "amplitude_tol", "x"),
     ("constraint", "tolerance", 0.1),
+    *(("grid", "time", {"mode": "fixed", "t": t}) for t in ("x", None, float("inf"), True)),
 ]
+#: The rest of a section that is valid on its own, so only the bad value can fail.
+SECTION_BASE = {"grid": {"axes": [{"name": "x3", "min": -1.0, "max": 1.0, "count": 3}]}}
 
 
 @pytest.mark.parametrize("section,key,value", BAD_SECTION_VALUES,
                          ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_SECTION_VALUES])
 def test_bad_section_value_is_config_error(tmp_path, capsys, section, key, value):
-    doc = {"beam": {"k": 50}, "modes": [[0, 0]], section: {key: value}}
-    command = "verify" if section == "constraint" else section
+    doc = {"beam": {"k": 50}, "modes": [[0, 0]],
+           section: {**SECTION_BASE.get(section, {}), key: value}}
+    command = {"constraint": "verify", "grid": "field"}.get(section, section)
     rc = main([command, "--config", config_path(tmp_path, doc), "--out",
                str(tmp_path / "out.json"), "--natural-units"])
     assert rc == 2
@@ -408,6 +418,57 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         main([*argv, "--config", path, "--out", str(tmp_path / "out")])
     assert err.value.code == 2
+
+
+def _no_libc(*args, **kwargs):
+    raise OSError("no C library")
+
+
+class _LibcWithoutMallopt:
+    def __init__(self, *args, **kwargs):
+        pass
+
+
+class _MalloptOfWrongSignature:
+    def __call__(self, *args):
+        raise TypeError("wrong argument types")
+
+
+class _LibcWithBadMallopt(_LibcWithoutMallopt):
+    mallopt = _MalloptOfWrongSignature()
+
+
+class TestAllocatorPolicy:
+    SMALL_VERIFY = {"beam": {"k": 50}, "modes": [[0, 0]],
+                    "verify": {"suites": ["reduced"], "points": 50}}
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_both_settings_take_on_glibc(self):
+        assert _keep_freed_memory() is True
+
+    @pytest.mark.parametrize("cdll", [_no_libc, _LibcWithoutMallopt, _LibcWithBadMallopt])
+    def test_unavailable_mallopt_is_a_no_op(self, tmp_path, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert _keep_freed_memory() is False
+        assert main(["verify", "--config", config_path(tmp_path, self.SMALL_VERIFY),
+                     "--natural-units", "--out", str(tmp_path / "bundle.json")]) == 0
+
+    def test_import_does_not_apply_it(self):
+        # a CDLL(None) call during import would be the step; any other CDLL use passes through
+        script = (
+            "import ctypes\n"
+            "real = ctypes.CDLL\n"
+            "def spy(name, *args, **kwargs):\n"
+            "    if name is None:\n"
+            "        raise SystemExit('allocator policy applied at import')\n"
+            "    return real(name, *args, **kwargs)\n"
+            "ctypes.CDLL = spy\n"
+            "import exactbeam, exactbeam.cli\n"
+        )
+        src = str(Path(exactbeam.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
 
 
 class TestEntryPoint:
