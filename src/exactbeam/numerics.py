@@ -1,14 +1,11 @@
-"""Foundational numerics: Hermite polynomials, quadrature, finite-difference stencils.
+"""Foundational numerics: Hermite polynomials and finite-difference stencils.
 
-Everything here is a pure function of its inputs. The only shared state
-is a per-node-count cache of the Gauss-Legendre rule on [-1, 1], whose
-arrays are read-only, so all routines stay safe to call from parallel
-sweeps.
+Everything here is a pure function of its inputs, so all routines stay
+safe to call from parallel sweeps.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,61 +57,6 @@ def hermite(order: int, x):
     if x.ndim == 0:
         return float(h)
     return h
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor-product Gauss-Legendre rule on a rectangle.
-
-    ``domain`` is either a single ``(lo, hi)`` interval applied to every
-    axis or a tuple of per-axis intervals.
-    """
-
-    node_count: int = 96
-    domain: tuple = ((-8.0, 8.0),)
-
-    def __post_init__(self):
-        if self.node_count < 2:
-            raise ValueError(f"node_count must be >= 2, got {self.node_count}")
-        dom = self.domain
-        if np.isscalar(dom[0]):
-            dom = (tuple(dom),)
-        dom = tuple((float(lo), float(hi)) for lo, hi in dom)
-        for lo, hi in dom:
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"interval bounds must be finite, got ({lo}, {hi})")
-            if not lo < hi:
-                raise ValueError(f"interval bounds must be ordered, got ({lo}, {hi})")
-        object.__setattr__(self, "domain", dom)
-
-    def interval(self, axis: int) -> tuple[float, float]:
-        if len(self.domain) == 1:
-            return self.domain[0]
-        return self.domain[axis]
-
-    def with_nodes(self, node_count: int) -> "QuadratureSpec":
-        return QuadratureSpec(node_count, self.domain)
-
-
-@functools.lru_cache(maxsize=16)
-def _legendre_rule(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], solved once per node count."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def quadrature_nodes(spec: QuadratureSpec, axis: int = 0):
-    """Nodes and weights of ``spec``'s rule on the given axis interval."""
-    lo, hi = spec.interval(axis)
-    half = 0.5 * (hi - lo)
-    x, w = _legendre_rule(spec.node_count)
-    return 0.5 * (hi + lo) + half * x, half * w
 
 
 # ---------------------------------------------------------------------------

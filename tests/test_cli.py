@@ -239,15 +239,29 @@ class TestVerify:
         assert rc == 1
         assert "suite reduced: FAIL" in capsys.readouterr().out
 
+    #: At k*w0 = 1e4 the field ratio of the compare suite overflows; compare
+    #: is not valid there yet, but the CLI must report it as a numeric guard.
+    OVERFLOWING_COMPARE = {"beam": {"k": 10000}, "modes": [[0, 0]],
+                           "verify": {"points": 500, "suites": ["compare"]}}
+
     def test_stray_arithmetic_error_is_numeric_guard(self, tmp_path, capsys):
-        # at k*w0 = 1e4 the compare suite overflows inside abs(); compare is not
-        # valid there yet, but the CLI must report it as a numeric guard
-        doc = {"beam": {"k": 10000}, "modes": [[0, 0]],
-               "verify": {"points": 500, "suites": ["compare"]}}
-        with np.errstate(all="ignore"):
-            rc = main(["verify", "--config", config_path(tmp_path, doc), "--natural-units"])
+        rc = main(["verify", "--config", config_path(tmp_path, self.OVERFLOWING_COMPARE),
+                   "--natural-units"])
         assert rc == 3
-        assert "numeric guard:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric guard: compare:" in err and "k*w0 = 10000" in err
+        assert "RuntimeWarning" not in err
+
+    def test_overflow_guard_under_warnings_as_errors(self, tmp_path):
+        src = str(Path(exactbeam.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "exactbeam.cli", "verify",
+             "--config", config_path(tmp_path, self.OVERFLOWING_COMPARE), "--natural-units"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert result.returncode == 3, result.stderr
+        assert "numeric guard:" in result.stderr and "Traceback" not in result.stderr
 
 
 class TestGouy:

@@ -227,6 +227,18 @@ class TestGoldenBytes:
         text = (tmp_path / "ours.json").read_text()
         assert "NaN" in text and "Infinity" in text and "-0.0" in text
 
+    @pytest.mark.parametrize("negative_zero", [None, 0, 5])
+    def test_all_zero_im(self, negative_zero, rng, tmp_path, monkeypatch):
+        """A real quantity's im part, with at most one -0.0 in the first or second chunk."""
+        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        grid = _random_grid(rng, (5, 3))
+        flat = grid.values.reshape(-1)
+        flat.imag[:] = 0.0
+        if negative_zero is not None:
+            flat[negative_zero] = complex(flat[negative_zero].real, -0.0)
+        _assert_same_bytes(grid, tmp_path)
+        assert ("-0.0" in (tmp_path / "ours.json").read_text()) == (negative_zero is not None)
+
     def test_non_ascii_metadata(self, rng, tmp_path, monkeypatch):
         monkeypatch.setattr(gridio, "CHUNK_ROWS", 5)
         grid = _random_grid(rng, (4, 3), metadata={"note": "ψ(x₁) für Gouy", "mode": [0, 0]})

@@ -7,22 +7,23 @@ from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
 from exactbeam import (
-    QuadratureSpec,
     StencilSpec,
     UnsupportedOrderError,
     first_derivative,
     hermite,
     second_derivative,
 )
-from exactbeam.numerics import quadrature_nodes
+from exactbeam.verify import _hermite_rule
 from oracle_tools import hermite_series
 
 
-def _tensor_sum(f, spec):
-    """Tensor-product quadrature of ``f(x1, x2)`` over ``spec``'s rectangle."""
-    x1, w1 = quadrature_nodes(spec, 0)
-    x2, w2 = quadrature_nodes(spec, 1)
-    return complex(np.einsum("i,j,ij->", w1, w2, f(x1[:, None], x2[None, :])))
+def _tensor_sum(f, node_count, width=math.sqrt(2.0)):
+    """Tensor-product Gauss-Hermite quadrature of ``f(x1, x2)`` over the plane.
+
+    The default width makes the rule's weight exp(-x1^2 - x2^2).
+    """
+    x, w = _hermite_rule(node_count, width)
+    return complex(np.einsum("i,j,ij->", w, w, f(x[:, None], x[None, :])))
 
 
 def _hermite_out_of_place(order, x):
@@ -97,59 +98,41 @@ class TestHermite:
 
 class TestQuadrature:
     def test_gaussian_integral_is_pi(self):
-        spec = QuadratureSpec(96, ((-8.0, 8.0),))
-        val = _tensor_sum(lambda x1, x2: np.exp(-x1**2 - x2**2), spec)
-        assert val.real == pytest.approx(math.pi, abs=1e-10)
+        val = _tensor_sum(lambda x1, x2: np.exp(-x1**2 - x2**2), 4)
+        assert val.real == pytest.approx(math.pi, rel=1e-14)
         assert val.imag == 0.0
 
     def test_odd_integrand_vanishes(self):
-        spec = QuadratureSpec(node_count=64)
-        val = _tensor_sum(lambda x1, x2: x1 * np.exp(-x1**2 - x2**2), spec)
-        assert abs(val) < 1e-12
+        val = _tensor_sum(lambda x1, x2: x1 * np.exp(-x1**2 - x2**2), 8)
+        assert abs(val) < 1e-15
 
     def test_hermite_weighted_integral_oracle(self):
-        # 1-D reduction: int 4 x^2 e^{-2x^2} dx * int e^{-y^2} dy = pi/sqrt(2)
-        spec = QuadratureSpec(node_count=96)
-        val = _tensor_sum(
-            lambda x1, x2: hermite(1, x1) ** 2 * np.exp(-2.0 * x1**2) * np.exp(-x2**2), spec
-        )
-        assert val.real == pytest.approx(2.221441469079183, rel=1e-12)
-        assert val.real == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-13)
+        # 1-D reduction: int 4 x^2 e^{-2x^2} dx * int e^{-y^2} dy = pi/sqrt(2);
+        # the x1 factor is the rule's exact case at width 1
+        x, w = _hermite_rule(4, 1.0)
+        y, v = _hermite_rule(4, math.sqrt(2.0))
+        val = (w @ (hermite(1, x) ** 2 * np.exp(-2.0 * x**2))) * (v @ np.exp(-y**2))
+        assert val == pytest.approx(2.221441469079183, rel=1e-14)
+        assert val == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-14)
 
     def test_node_doubling_stability(self):
+        # exp(-x^2) at width 2 is not the rule's weight: the rule converges
         f = lambda x1, x2: np.exp(-x1**2 - x2**2)
-        a = _tensor_sum(f, QuadratureSpec(node_count=96))
-        b = _tensor_sum(f, QuadratureSpec(node_count=192))
-        assert abs(a - b) < 1e-10
-
-    def test_per_axis_domain(self):
-        spec = QuadratureSpec(node_count=64, domain=((-8.0, 8.0), (0.0, 1.0)))
-        val = _tensor_sum(lambda x1, x2: np.exp(-x1**2) * np.ones_like(x2), spec)
-        assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        a = _tensor_sum(f, 40, width=2.0)
+        b = _tensor_sum(f, 80, width=2.0)
+        assert abs(a - b) < 1e-12
+        assert b.real == pytest.approx(math.pi, rel=1e-12)
 
     def test_complex_integrand(self):
-        spec = QuadratureSpec(node_count=96)
-        val = _tensor_sum(lambda x1, x2: (1 + 2j) * np.exp(-x1**2 - x2**2), spec)
-        assert val == pytest.approx((1 + 2j) * math.pi, rel=1e-10)
+        val = _tensor_sum(lambda x1, x2: (1 + 2j) * np.exp(-x1**2 - x2**2), 4)
+        assert val == pytest.approx((1 + 2j) * math.pi, rel=1e-14)
 
-    def test_legendre_rule_cached_read_only(self):
-        spec = QuadratureSpec(41, ((-3.0, 5.0),))
-        x, w = quadrature_nodes(spec)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(41)
-        np.testing.assert_array_equal(x, 1.0 + 4.0 * ref_x)
-        np.testing.assert_array_equal(w, 4.0 * ref_w)
-        x[0] = w[0] = 0.0  # the returned arrays are the caller's own
-        again_x, again_w = quadrature_nodes(spec)
-        np.testing.assert_array_equal(again_x, 1.0 + 4.0 * ref_x)
-        np.testing.assert_array_equal(again_w, 4.0 * ref_w)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=64, domain=((3.0, -3.0),))
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=64, domain=((0.0, np.inf),))
+    @pytest.mark.parametrize("degree", range(0, 20, 2))
+    def test_exact_below_twice_the_node_count(self, degree):
+        # int xi^(2j) e^{-xi^2} d xi = Gamma(j + 1/2); x = xi at width sqrt(2)
+        x, w = _hermite_rule(degree // 2 + 1, math.sqrt(2.0))
+        got = w @ (x**degree * np.exp(-x * x))
+        assert got == pytest.approx(math.gamma(degree / 2 + 0.5), rel=1e-13)
 
 
 class TestStencils:

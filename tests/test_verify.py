@@ -15,7 +15,6 @@ from exactbeam import (
     ModeIndex,
     OrthoReport,
     QuadratureConvergenceError,
-    QuadratureSpec,
     ResidualReport,
     SpaceTimePoint,
     alternate_correspondence_sweep,
@@ -42,8 +41,10 @@ from exactbeam import (
     spot_radius,
     transverse_gram,
 )
+from exactbeam import beam as beam_module
+from exactbeam import verify as verify_module
 from exactbeam.config import parse_config
-from exactbeam.verify import SUITE_TOLERANCES, SUITES, run_battery
+from exactbeam.verify import GRAM_MODES, SUITE_TOLERANCES, SUITES, run_battery
 
 
 class TestReports:
@@ -294,7 +295,7 @@ class TestOrthonormality:
         assert isinstance(rep, OrthoReport)
         assert rep.max_off_diagonal <= 1e-12
         assert rep.max_diagonal_deviation <= 1e-12
-        assert rep.node_count == 96
+        assert rep.node_count == 1 + 1 + 8  # largest index, plus one, plus the margin
         g = rep.gram_entries
         assert g[0, 1] == np.conj(g[1, 0])
 
@@ -302,11 +303,11 @@ class TestOrthonormality:
         with pytest.raises(ValueError):
             transverse_gram(beam50, [(0, 0), ModeIndex(0, 0)])
 
-    def test_underresolved_quadrature_rejected(self, beam50):
-        half = 8.0 * beam50.w0 / math.sqrt(2.0)
-        coarse = QuadratureSpec(8, ((-half, half),))
-        with pytest.raises(QuadratureConvergenceError):
-            transverse_gram(beam50, self.MODES, quad=coarse)
+    def test_underresolved_quadrature_rejected(self, beam50, monkeypatch):
+        # two nodes per axis are exact only up to index 1; GRAM_MODES reach 2
+        monkeypatch.setattr(verify_module, "_node_count", lambda modes: 2)
+        with pytest.raises(QuadratureConvergenceError, match="between 2 and 10 nodes"):
+            transverse_gram(beam50, GRAM_MODES)
 
     def test_scalar_and_mapping_constants(self, beam50):
         c00 = normalization_constant(beam50, ModeIndex(0, 0))
@@ -333,6 +334,67 @@ class TestNumericNormalization:
         assert compute_normalization(wide, ModeIndex(0, 0)) == pytest.approx(
             compute_normalization(narrow, ModeIndex(0, 0)) / 2.0, rel=1e-12
         )
+
+
+#: Modes up to the library's guard m + n = 20, with high and low indices on each axis.
+HIGH_ORDER_MODES = [(0, 0), (20, 0), (10, 10), (0, 20), (19, 1), (6, 4)]
+
+
+def _run_suites(kw0, modes, suites):
+    config = parse_config({"beam": {"k": kw0}, "modes": [list(m) for m in modes],
+                           "verify": {"suites": suites}}, natural_units=True)
+    return run_battery(config)
+
+
+@pytest.mark.parametrize("kw0", [1.0, 50.0, 1e4])
+def test_high_order_gram_and_constants_to_rounding(kw0):
+    beam = BeamParams(k=kw0, w0=1.0)
+    for plane in (0.0, 5.0 * beam.rayleigh_range):
+        rep = transverse_gram(beam, HIGH_ORDER_MODES, s=plane)
+        assert np.abs(rep.gram_entries - np.eye(len(HIGH_ORDER_MODES))).max() <= 1e-13
+    for mode in (ModeIndex(*m) for m in HIGH_ORDER_MODES):
+        closed = normalization_constant(beam, mode)
+        assert abs(compute_normalization(beam, mode) - closed) <= 1e-13 * closed
+
+
+@pytest.mark.parametrize("kw0", [1.0, 50.0, 1e4])
+def test_suites_check_the_configured_modes(kw0):
+    bundle = _run_suites(kw0, HIGH_ORDER_MODES, ["gram", "normalization", "gouy"])
+    assert bundle["passed"]
+    suites = bundle["suites"]
+    configured = [list(m) for m in HIGH_ORDER_MODES]
+    assert [c["mode"] for c in suites["normalization"]["checks"]] == configured
+    assert [f["mode"] for f in suites["gouy"]["fits"]] == configured
+    for rep in suites["gram"]["reports"]:
+        diagonal = [a for a, b in rep["mode_pairs"] if a == b]
+        assert diagonal == [[m.m, m.n] for m in GRAM_MODES] + configured[1:]
+
+
+def _stretch_width(monkeypatch):
+    """Mutant: every envelope the suites integrate is 1% wider than w(s)."""
+    monkeypatch.setattr(verify_module, "envelope_phi",
+                        lambda params, mode, x1, x2, s, c_mn=None:
+                        envelope_phi(params, mode, x1 / 1.01, x2 / 1.01, s, c_mn=c_mn))
+
+
+def _scale_constant(monkeypatch):
+    """Mutant: the closed-form C_mn is 1% too large."""
+    closed = beam_module.normalization_constant
+    wrong = lambda params, mode: 1.01 * closed(params, mode)
+    monkeypatch.setattr(beam_module, "normalization_constant", wrong)
+    monkeypatch.setattr(verify_module, "normalization_constant", wrong)
+
+
+@pytest.mark.parametrize("kw0", [1.0, 50.0, 1e4])
+@pytest.mark.parametrize("mutant", [_stretch_width, _scale_constant])
+def test_gram_and_normalization_reject_mutants(mutant, kw0, monkeypatch):
+    mutant(monkeypatch)
+    # (20, 0): a wrong width still settles at the largest sizing, so gram FAILs, not stops
+    bundle = _run_suites(kw0, [(0, 0), (3, 2), (20, 0)], ["gram", "normalization"])
+    assert bundle["failed_suites"] == ["gram", "normalization"]
+    assert bundle["suites"]["gram"]["max_diagonal_deviation"] == pytest.approx(0.0201, rel=1e-6)
+    assert bundle["suites"]["normalization"]["max_rel_error"] == pytest.approx(0.01 / 1.01,
+                                                                              rel=1e-6)
 
 
 class TestAxialPhaseLaw:
