@@ -137,7 +137,9 @@ def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
 def cmd_verify(config: RunConfig, out: str) -> int:
     bundle = run_battery(config)
     for name, entry in bundle["suites"].items():
-        print(f"suite {name}: {'PASS' if entry['passed'] else 'FAIL'}")
+        verdict = "NUMERIC GUARD" if "numeric_guard" in entry else (
+            "PASS" if entry["passed"] else "FAIL")
+        print(f"suite {name}: {verdict}")
     text = json.dumps(bundle, sort_keys=True, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -146,8 +148,11 @@ def cmd_verify(config: RunConfig, out: str) -> int:
         print(text)
     if bundle["failed_suites"]:
         print(f"verification FAILED: {', '.join(bundle['failed_suites'])}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    for name in bundle["guarded_suites"]:
+        print(f"numeric guard: {bundle['suites'][name]['numeric_guard']}", file=sys.stderr)
+    if bundle["guarded_suites"]:
+        return EXIT_NUMERIC
+    return EXIT_VERIFY if bundle["failed_suites"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

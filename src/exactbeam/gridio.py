@@ -12,7 +12,14 @@ Both writers stream: they format CHUNK_ROWS rows (CSV) or values (JSON)
 at a time and never build the coordinate meshgrid. Their bytes equal
 those of ``np.savetxt`` with ``fmt="%.17g"`` and of ``json.dump``.
 ``save_rows`` is the same CSV writer for plain float columns (the gouy
-and compare outputs).
+and compare outputs). The numbers are spelled by ``_floattext.encode``,
+BLOCK values at a time: numpy code that writes the exact bytes of
+``'%.17g' % v`` (CSV) or ``float.__repr__(v)`` (JSON) and hands every
+value it cannot prove exact (non-finite, extreme, or close to a rounding
+tie) to CPython's own formatter; ``_floattext.join`` then lays out the
+rows. Each axis's values are encoded once and gathered per row. The
+encoder is imported by the writers, not with this module, so that
+commands that write no grid do not load it.
 
 An output of more than one chunk is formatted by up to one forked worker
 process per usable CPU (``os.sched_getaffinity``). Each worker renders
@@ -161,18 +168,21 @@ def _write_forked(fh, render, ranges, workers: int, context) -> None:
 
 
 def _write_csv(path, header: str, count: int, block) -> None:
-    """Write ``header`` and ``count`` rows, CHUNK_ROWS rows per ``%`` format.
+    """Write ``header`` and ``count`` rows, CHUNK_ROWS rows per chunk.
 
     ``block(start, stop)`` returns the columns of rows [start, stop): float
-    arrays, printed with %.17g, or object arrays of preformatted strings.
+    arrays, printed as %.17g, or rows of text that ``_floattext.encode``
+    made earlier.
     """
+    from ._floattext import BLOCK, encode, join
+
     def render(start, stop):
-        columns = block(start, stop)
-        table = np.empty((stop - start, len(columns)), dtype=object)
-        for j, column in enumerate(columns):
-            table[:, j] = column
-        row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
-        return ((row * (stop - start)) % tuple(table.ravel().tolist())).encode()
+        lines = []
+        for a in range(start, stop, BLOCK):
+            columns = [c if c.dtype == np.uint8 else encode(c, shortest=False)
+                       for c in block(a, min(a + BLOCK, stop))]
+            lines.append(join(columns, [b","] * (len(columns) - 1) + [b"\n"]))
+        return b"".join(lines)
 
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode("utf-8"))
@@ -190,11 +200,12 @@ def save_rows(path, header: str, columns) -> None:
 
 
 def save_csv(grid: FieldGrid, path) -> None:
+    from ._floattext import encode
+
     shape = grid.values.shape
     flat = grid.values.ravel()
     # each coordinate repeats across rows: format every axis value once
-    axis_text = [np.array(["%.17g" % v for v in ax.values.tolist()], dtype=object)
-                 for ax in grid.axes]
+    axis_text = [encode(ax.values, shortest=False) for ax in grid.axes]
 
     def block(start, stop):
         index = np.unravel_index(np.arange(start, stop), shape)
@@ -224,6 +235,8 @@ def load_csv(path) -> FieldGrid:
 
 
 def save_json(grid: FieldGrid, path) -> None:
+    from ._floattext import BLOCK, encode, join
+
     # Equals json.dump(doc, fh, sort_keys=True, indent=1) with
     # doc["values"] = {"re": [...], "im": [...]}: "values" sorts after the
     # other top-level keys and "im" before "re", so the arrays go last.
@@ -231,7 +244,7 @@ def save_json(grid: FieldGrid, path) -> None:
     head = json.dumps(_meta_doc(grid), sort_keys=True, indent=1)
     flat = grid.values.ravel()
     n = flat.size
-    separator = ",\n   "
+    separator = b",\n   "
 
     def render(start, stop):
         parts = []
@@ -242,12 +255,12 @@ def save_json(grid: FieldGrid, path) -> None:
             if lo:
                 parts.append(separator)
             elif offset:
-                parts.append('\n  ],\n  "re": [\n   ')
-            chunk = values[lo:hi]
-            # json prints NaN and Infinity by name; finite floats by repr
-            encode = float.__repr__ if np.isfinite(chunk).all() else json.dumps
-            parts.append(separator.join(map(encode, chunk.tolist())))
-        return "".join(parts).encode()
+                parts.append(b'\n  ],\n  "re": [\n   ')
+            for a in range(lo, hi, BLOCK):
+                text = encode(values[a:min(a + BLOCK, hi)], shortest=True)
+                parts.append(join([text], [separator]))
+            parts[-1] = parts[-1][:-len(separator)]
+        return b"".join(parts)
 
     with open(path, "wb") as fh:
         fh.write((head[:-len("\n}")] + ',\n "values": {\n  "im": [\n   ').encode("utf-8"))

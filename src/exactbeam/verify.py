@@ -974,6 +974,11 @@ def run_battery(config) -> dict:
     ``verify.seed`` feeds the suites in turn, so a suite's sample depends
     on the suites run before it. The entries of suites that declare
     mutants record the ``mutation`` in force.
+
+    A suite whose numerics raise ``ArithmeticError`` (an overflow guard)
+    is not valid at these inputs: its entry is ``{"numeric_guard":
+    message}``, it is listed in ``guarded_suites`` instead of
+    ``failed_suites``, and the remaining suites still run.
     """
     if not config.modes:
         raise ConfigError("verify: the mode list must not be empty")
@@ -981,20 +986,27 @@ def run_battery(config) -> dict:
     rng = np.random.default_rng(options["seed"])
     results = {}
     failed = []
+    guarded = []
     for name in options["suites"]:
         suite = SUITES[name]
-        entry, passed = suite.run(config, rng, suite.tolerances,
-                                  suite.mutants.get(options["mutate"]))
+        try:
+            entry, passed = suite.run(config, rng, suite.tolerances,
+                                      suite.mutants.get(options["mutate"]))
+        except ArithmeticError as exc:
+            entry, passed = {"numeric_guard": str(exc)}, False
+            guarded.append(name)
+        else:
+            if not passed:
+                failed.append(name)
         if suite.mutants:
             entry["mutation"] = options["mutate"]
         entry["passed"] = passed
         results[name] = entry
-        if not passed:
-            failed.append(name)
     return {
         "version": __version__,
         "natural_units": config.natural_units,
         "suites": results,
         "failed_suites": failed,
-        "passed": not failed,
+        "guarded_suites": guarded,
+        "passed": not failed and not guarded,
     }

@@ -21,6 +21,7 @@ from exactbeam import (
 )
 from exactbeam.cli import _keep_freed_memory, main
 from exactbeam.gridio import load, load_csv
+from exactbeam.verify import SUITES
 
 
 def config_path(tmp_path, doc, name="config.json"):
@@ -262,6 +263,36 @@ class TestVerify:
                 filter(None, [src, os.environ.get("PYTHONPATH")]))})
         assert result.returncode == 3, result.stderr
         assert "numeric guard:" in result.stderr and "Traceback" not in result.stderr
+
+    #: SI units at k*w0 = 5900, where compare overflows and the other suites still run.
+    SI_OPTICAL = {"beam": {"k": 5.9e6, "w0": 1e-3, "v": 299792458.0},
+                  "modes": [[0, 0], [2, 1]], "verify": {"points": 500}}
+
+    def test_numeric_guard_keeps_the_other_suites(self, tmp_path, capsys):
+        out = tmp_path / "bundle.json"
+        rc = main(["verify", "--config", config_path(tmp_path, self.SI_OPTICAL),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "suite compare: NUMERIC GUARD" in captured.out.splitlines()
+        assert "numeric guard: compare:" in captured.err and "k*w0 = 5900" in captured.err
+        bundle = json.loads(out.read_text())
+        assert sorted(bundle["suites"]) == sorted(SUITES)
+        assert bundle["guarded_suites"] == ["compare"]
+        assert "compare" not in bundle["failed_suites"] and bundle["passed"] is False
+        assert set(bundle["suites"]["compare"]) == {"numeric_guard", "passed"}
+
+        others = [name for name in SUITES if name != "compare"]
+        doc = {**self.SI_OPTICAL, "verify": {"points": 500, "suites": others}}
+        without = tmp_path / "without.json"
+        rc_without = main(["verify", "--config", config_path(tmp_path, doc, "without.cfg.json"),
+                           "--out", str(without)])
+        reference = json.loads(without.read_text())
+        assert rc_without == (1 if reference["failed_suites"] else 0)
+        assert reference["guarded_suites"] == []
+        assert bundle["failed_suites"] == reference["failed_suites"]
+        for name in others:
+            assert bundle["suites"][name]["passed"] == reference["suites"][name]["passed"]
 
 
 class TestGouy:
