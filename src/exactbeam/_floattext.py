@@ -6,10 +6,13 @@ the scaled value s in [1e16, 1e17) is known to about 1e-15. '%.17g'
 rounds s to an integer; repr keeps the shortest rounding of s inside
 v's half-ulp interval, the rule of Grisu (Loitsch, PLDI 2010) and Ryu
 (Adams, PLDI 2018). One gather through a table keyed by sign, exponent
-class and digit count spells the digits. Values not proven exact go to
+class and digit count spells the digits. Where 10**(16 - X) is a double
+the scaled value is exact, so rounding ties go half to even and repr's
+interval edges are decided in numpy too. Values not proven exact go to
 CPython's own formatter: non-finite values, |v| outside [1e-280, 1e280],
-values within 1e-6 of the last kept digit's rounding tie or interval
-edge, and for repr the powers of two, whose interval is lopsided.
+values of inexact scale within 1e-6 of the last kept digit's rounding
+tie or interval edge, and for repr the powers of two, whose interval is
+lopsided.
 """
 
 from __future__ import annotations
@@ -48,34 +51,38 @@ def _tables():
     return np.array(hi), np.array(lo), words, np.array(trailing)
 
 
-def _template(negative: bool, exponent, digits: int, shortest: bool) -> list:
-    """Source-row offsets spelling ``digits`` significant digits; ``exponent``
-    is X (fixed notation) or (sign offset, width) (exponential notation)."""
-    d = _DIGIT[:digits]
-    if isinstance(exponent, tuple):
-        sign, width = exponent
-        spelled = d[:1] + [_DOT] * (digits > 1) + d[1:] + [_E, sign]
-        spelled += [_EXPONENT + i for i in range(3 - width, 3)]
-    elif exponent >= 0:
-        spelled = [_DIGIT[i] if i < digits else _ZERO for i in range(exponent + 1)]
-        if digits > exponent + 1:
-            spelled += [_DOT] + d[exponent + 1:]
-        elif shortest:
-            spelled += [_DOT, _ZERO]
-    else:
-        spelled = [_ZERO, _DOT] + [_ZERO] * (-exponent - 1) + d
-    spelled = [_MINUS] * negative + spelled
-    return spelled + [_NUL] * (WIDTH - len(spelled))
-
-
 @lru_cache(maxsize=None)
 def _layout(shortest: bool):
-    """The layout table of one style, its exponent class count and fixed-notation count."""
-    fixed = list(range(-4, 16 if shortest else 17))  # repr: X in [-4, 15]; %g: [-4, 16]
-    classes = fixed + [(sign, width) for sign in (_MINUS, _PLUS) for width in (2, 3)]
-    table = [_template(negative, cls, digits, shortest)
-             for negative in (False, True) for cls in classes for digits in range(1, 18)]
-    return np.array(table, dtype=np.int32), len(classes), len(fixed)
+    """The layout table of one style, its exponent class count and fixed-notation count.
+
+    Row (negative * classes + class) * 17 + digits - 1 holds the source-row
+    offsets that spell that many significant digits, NUL-padded. The classes
+    are X in [-4, 15] (repr) or [-4, 16] (%g) in fixed notation, then the
+    exponent's sign and width (2 or 3). Each row spells the symbols below
+    that it keeps, in the order of their places.
+    """
+    fixed = 20 if shortest else 21
+    negative = np.arange(2)[:, None, None] == 1
+    c = np.arange(fixed + 4)[:, None]
+    d = np.arange(1, 18)
+    x, plain, signed = c - 4, c < fixed, c >= fixed
+    whole, width = plain & (x >= 0), 2 + (c - fixed) % 2
+    symbols = [(_MINUS, -6, negative), (_ZERO, -5, plain & (x < 0)), (_DOT, -4, plain & (x < 0))]
+    symbols += [(_ZERO, k - 3, plain & (k < -x - 1)) for k in range(3)]  # 0 < |v| < 1
+    symbols += [(np.where(i < d, _DIGIT[i], _ZERO), i, (i < d) | (plain & (i <= x)))
+                for i in range(17)]
+    symbols += [(_DOT, np.where(plain, x + 0.5, 0.5),
+                 (whole & ((d > x + 1) | shortest)) | (signed & (d > 1))),
+                (_ZERO, x + 0.75, shortest & whole & (d <= x + 1)),  # repr's '.0'
+                (_E, 17, signed), (np.where(c < fixed + 2, _MINUS, _PLUS), 18, signed)]
+    symbols += [(_EXPONENT + k, 19 + k, signed & (k >= 3 - width)) for k in range(3)]
+    # sort each row's kept symbols by place: places are multiples of 1/4 and
+    # symbols below 32, so 128 * place + symbol carries its symbol, and a
+    # dropped symbol's key sorts last and reads as NUL
+    key = np.empty((2, c.size, d.size, len(symbols)), np.int32)
+    for n, (symbol, at, kept) in enumerate(symbols):
+        key[..., n] = np.where(kept, 128 * at + symbol, 4096 + _NUL)
+    return np.sort(key, axis=-1)[..., :WIDTH].reshape(-1, WIDTH) % 32, c.size, fixed
 
 
 def _scaled(x, exponent):
@@ -106,28 +113,37 @@ def _digits(x, shortest: bool):
     exponent[moved] += _decade(hi[moved], lo[moved])
     hi[moved], lo[moved] = _scaled(x[moved], exponent[moved])
     safe = _decade(hi, lo) == 0
+    # where 10**(16 - X) is a double (X in [-6, 16]), hi + lo is s exactly,
+    # so a rounding tie is one too, and it rounds half to even
+    exact = (exponent >= -6) & (exponent <= 16)
     floor = np.floor(lo)
     whole = hi.astype(np.int64) + floor.astype(np.int64)  # s = whole + frac exactly
     frac = lo - floor
-    safe &= np.abs(frac - 0.5) >= _MARGIN
-    digits = whole + (frac >= 0.5)
+    safe &= exact | (np.abs(frac - 0.5) >= _MARGIN)
+    digits = whole + ((frac > 0.5) | ((frac == 0.5) & ((whole & 1) == 1)))
     if shortest:
         # round s to k digits fewer, k = 1, 2, ..., while the result stays
         # inside the half-ulp interval; passing is monotone in k
         _, binary = np.frexp(x)
         half_ulp = np.ldexp(_tables()[0][16 - _Q_MIN - exponent], binary - 54)
+        even = (x.view(np.uint64) & np.uint64(1)) == 0
         active = np.flatnonzero(safe)
         for k in range(1, 17):
             p = 10**k
-            w = whole[active]
-            r = w - w // p * p
-            offset = r - p * (2 * r >= p)  # the rounded value is w - offset
-            distance = np.abs(offset + frac[active])
-            tie = np.abs(distance - p // 2) < _MARGIN
+            w, f = whole[active], frac[active]
+            quotient = w // p
+            r = w - p * quotient
+            # round to nearest; a tie (r = p/2, f = 0) goes to the even quotient
+            up = (2 * r > p) | ((2 * r == p) & ((f > 0) | ((quotient & 1) == 1)))
+            offset = r - p * up  # the rounded value is w - offset
+            distance = np.abs(offset + f)
+            tie = (np.abs(distance - p // 2) < _MARGIN) & ~exact[active]
             distance -= half_ulp[active]
-            edge = np.abs(distance) < _MARGIN
+            edge = (np.abs(distance) < _MARGIN) & ~exact[active]
             safe[active[edge | ((distance < 0) & tie)]] = False
-            keep = (distance < 0) & ~edge & ~tie
+            # an exact edge is inside when v's last bit is 0: it reads back as v
+            inside = (distance < 0) | ((distance == 0) & even[active])
+            keep = inside & ~edge & ~tie
             active = active[keep]
             if not active.size:
                 break
@@ -137,14 +153,15 @@ def _digits(x, shortest: bool):
     return digits, exponent + carry, safe
 
 
-def _spell(digits, exponent, negative, shortest: bool):
-    """Text rows of 17-digit integers with decimal exponents and signs."""
+def _spell(digits, exponent, negative, shortest: bool, out=None):
+    """Text rows of 17-digit integers with decimal exponents and signs, into ``out`` if given."""
     words, trailing = _tables()[2:]
     table, classes, fixed = _layout(shortest)
     groups, rest = [], digits
     for _ in range(5):
-        rest, group = rest // 1000, rest % 1000
-        groups.insert(0, group)
+        quotient = rest // 1000  # numpy divides by a constant fast, but % is slow
+        groups.insert(0, rest - 1000 * quotient)
+        rest = quotient
     groups.insert(0, rest)
     count, zeros = 17, True  # significant digits: 17 less the zeros at the end
     for group in groups[::-1]:
@@ -156,22 +173,27 @@ def _spell(digits, exponent, negative, shortest: bool):
     index = table[(negative * classes + cls) * 17 + count - 1]
     index += 32 * np.arange(digits.size, dtype=np.int32)[:, None]
     # every index is in range by construction; "clip" skips the bounds check
-    return np.take(source.view(np.uint8).reshape(-1), index, mode="clip")
+    return np.take(source.view(np.uint8).reshape(-1), index, mode="clip", out=out)
 
 
 def _encode_block(v, shortest: bool, out) -> None:
     bits = v.view(np.uint64)
     negative = (bits >> np.uint64(63)).astype(np.intp)
     x = np.abs(v)
-    zero = x == 0
-    zeros = (b"0.0", b"-0.0") if shortest else (b"0", b"-0")
-    out[zero] = np.array([list(z.ljust(WIDTH, b"\0")) for z in zeros], np.uint8)[negative[zero]]
     fast = (x >= 1e-280) & (x <= 1e280)
     if shortest:
         fast &= (bits & np.uint64((1 << 52) - 1)) != 0
-    rows = np.flatnonzero(fast)
-    digits, exponent, safe = _digits(x[rows], shortest)
+    rows = None if fast.all() else np.flatnonzero(fast)
+    digits, exponent, safe = _digits(x if rows is None else x[rows], shortest)
+    if rows is None:
+        if safe.all():  # the common block: every value spelled in place
+            _spell(digits, exponent, negative, shortest, out)
+            return
+        rows = np.arange(v.size)
     out[rows[safe]] = _spell(digits[safe], exponent[safe], negative[rows[safe]], shortest)
+    zero = x == 0
+    zeros = (b"0.0", b"-0.0") if shortest else (b"0", b"-0")
+    out[zero] = np.array([list(z.ljust(WIDTH, b"\0")) for z in zeros], np.uint8)[negative[zero]]
     slow = np.concatenate([rows[~safe], np.flatnonzero(~fast & ~zero)])
     if shortest:
         text = [float.__repr__(s) if s - s == 0 else json.dumps(s) for s in v[slow].tolist()]

@@ -8,27 +8,26 @@ which round-trips IEEE doubles exactly and keeps byte-identical output
 for identical inputs. JSON files carry the same information as a single
 document, written as ``json.dump(doc, sort_keys=True, indent=1)`` would.
 
-Both writers stream: they format CHUNK_ROWS rows (CSV) or values (JSON)
-at a time and never build the coordinate meshgrid. Their bytes equal
-those of ``np.savetxt`` with ``fmt="%.17g"`` and of ``json.dump``.
-``save_rows`` is the same CSV writer for plain float columns (the gouy
-and compare outputs). The numbers are spelled by ``_floattext.encode``,
-BLOCK values at a time: numpy code that writes the exact bytes of
+Both writers stream: they format ``_floattext.BLOCK`` rows (CSV) or
+values (JSON) per chunk and never build the coordinate meshgrid. Their
+bytes equal those of ``np.savetxt`` with ``fmt="%.17g"`` and of
+``json.dump``. ``save_rows`` is the same CSV writer for plain float
+columns (the gouy and compare outputs). The numbers are spelled by
+``_floattext.encode``: numpy code that writes the exact bytes of
 ``'%.17g' % v`` (CSV) or ``float.__repr__(v)`` (JSON) and hands every
-value it cannot prove exact (non-finite, extreme, or close to a rounding
-tie) to CPython's own formatter; ``_floattext.join`` then lays out the
-rows. Each axis's values are encoded once and gathered per row. The
-encoder is imported by the writers, not with this module, so that
+value it cannot prove exact (non-finite, extreme, or close to an inexact
+rounding tie) to CPython's own formatter; ``_floattext.join`` then lays
+out the rows. Each axis's values are encoded once and gathered per row.
+The encoder is imported by the writers, not with this module, so that
 commands that write no grid do not load it.
 
-An output of more than one chunk is formatted by up to one forked worker
-process per usable CPU (``os.sched_getaffinity``). Each worker renders
-whole chunks from the arrays it inherited at fork, with the same chunk
-renderer as the in-process path, and the parent writes the returned
-bytes in chunk order, so the file does not depend on the CPU count. At
-most two chunks per worker are in flight, so memory stays bounded
-whatever the grid size. A one-chunk output, a single usable CPU or a
-platform without ``fork`` keeps all formatting in the calling process.
+An output of more than one chunk is formatted by a pool of up to one
+thread per usable CPU. The encoder's numpy work releases the interpreter
+lock, the threads read the caller's arrays in place, and the caller
+writes the returned bytes in chunk order, so the file does not depend on
+the CPU count. At most two chunks per thread are in flight, so memory
+stays bounded whatever the grid size. A one-chunk output or a single
+usable CPU keeps all formatting in the calling thread.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ import numpy as np
 from .errors import ConfigError
 
 FORMAT_VERSION = 1
-
-#: Rows (CSV) or values (JSON) formatted per write.
-CHUNK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -112,55 +108,36 @@ def _meta_doc(grid: FieldGrid) -> dict:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
+    """CPUs this process may run on: its affinity mask, or the machine's count
+    where the platform has no ``os.sched_getaffinity``."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _write_chunks(fh, render, count: int) -> None:
-    """Write ``render(start, stop)`` for the CHUNK_ROWS ranges of [0, count), in order.
+    """Write ``render(start, stop)`` for the ``_floattext.BLOCK`` ranges of [0, count), in order.
 
     ``render`` returns the encoded bytes of items [start, stop). It runs in
-    forked workers when there is more than one chunk and more than one
-    usable CPU, and in this process otherwise.
+    a thread pool when there is more than one chunk and more than one usable
+    CPU, and in the calling thread otherwise.
     """
-    ranges = [(start, min(start + CHUNK_ROWS, count)) for start in range(0, count, CHUNK_ROWS)]
+    from ._floattext import BLOCK
+
+    ranges = [(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK)]
     workers = min(_usable_cpus(), len(ranges))
-    if workers > 1:
-        import multiprocessing
+    if workers < 2:
+        for start, stop in ranges:
+            fh.write(render(start, stop))
+        return
+    from concurrent.futures import ThreadPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            _write_forked(fh, render, ranges, workers, multiprocessing.get_context("fork"))
-            return
-    for start, stop in ranges:
-        fh.write(render(start, stop))
-
-
-#: The chunk renderer of a forked worker process; never set in the parent.
-_adopted_render = None
-
-
-def _adopt_renderer(render) -> None:
-    global _adopted_render
-    _adopted_render = render
-
-
-def _render_adopted(start: int, stop: int) -> bytes:
-    return _adopted_render(start, stop)
-
-
-def _write_forked(fh, render, ranges, workers: int, context) -> None:
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork passes render to the workers without pickling it; tasks are ranges
-    pool = ProcessPoolExecutor(workers, mp_context=context,
-                               initializer=_adopt_renderer, initargs=(render,))
+    pool = ThreadPoolExecutor(workers)
     pending = deque()
     try:
         for start, stop in ranges:
             if len(pending) == 2 * workers:
                 fh.write(pending.popleft().result())
-            pending.append(pool.submit(_render_adopted, start, stop))
+            pending.append(pool.submit(render, start, stop))
         while pending:
             fh.write(pending.popleft().result())
     finally:
@@ -168,21 +145,18 @@ def _write_forked(fh, render, ranges, workers: int, context) -> None:
 
 
 def _write_csv(path, header: str, count: int, block) -> None:
-    """Write ``header`` and ``count`` rows, CHUNK_ROWS rows per chunk.
+    """Write ``header`` and ``count`` rows, one chunk of rows at a time.
 
     ``block(start, stop)`` returns the columns of rows [start, stop): float
     arrays, printed as %.17g, or rows of text that ``_floattext.encode``
     made earlier.
     """
-    from ._floattext import BLOCK, encode, join
+    from ._floattext import encode, join
 
     def render(start, stop):
-        lines = []
-        for a in range(start, stop, BLOCK):
-            columns = [c if c.dtype == np.uint8 else encode(c, shortest=False)
-                       for c in block(a, min(a + BLOCK, stop))]
-            lines.append(join(columns, [b","] * (len(columns) - 1) + [b"\n"]))
-        return b"".join(lines)
+        columns = [c if c.dtype == np.uint8 else encode(c, shortest=False)
+                   for c in block(start, stop)]
+        return join(columns, [b","] * (len(columns) - 1) + [b"\n"])
 
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode("utf-8"))
@@ -235,7 +209,7 @@ def load_csv(path) -> FieldGrid:
 
 
 def save_json(grid: FieldGrid, path) -> None:
-    from ._floattext import BLOCK, encode, join
+    from ._floattext import encode, join
 
     # Equals json.dump(doc, fh, sort_keys=True, indent=1) with
     # doc["values"] = {"re": [...], "im": [...]}: "values" sorts after the
@@ -256,10 +230,8 @@ def save_json(grid: FieldGrid, path) -> None:
                 parts.append(separator)
             elif offset:
                 parts.append(b'\n  ],\n  "re": [\n   ')
-            for a in range(lo, hi, BLOCK):
-                text = encode(values[a:min(a + BLOCK, hi)], shortest=True)
-                parts.append(join([text], [separator]))
-            parts[-1] = parts[-1][:-len(separator)]
+            text = join([encode(values[lo:hi], shortest=True)], [separator])
+            parts.append(text[:-len(separator)])
         return b"".join(parts)
 
     with open(path, "wb") as fh:

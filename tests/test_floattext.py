@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactbeam._floattext import WIDTH, encode, join
+from exactbeam._floattext import WIDTH, _digits, encode, join
 
 
 def reference(values, shortest):
@@ -83,6 +83,17 @@ class TestEdgeClasses:
         whole = rng.integers(2**50, 2**51, 3000).astype(float)
         rounded = [np.round(rng.uniform(-1e4, 1e4, 2000), d) for d in range(8)]
         assert_exact(np.concatenate([whole + 0.25, whole + 0.75, *rounded]))
+
+    def test_exact_ties_and_edges_stay_fast(self, rng):
+        """Where 10**(16 - X) is a double, numpy rounds exact ties half to even
+        (n + 0.125 below 1e15: %.17g's 18th digit; n + 0.25 in [2**49, 2**50):
+        repr's 16th) and decides repr's interval edges (integers above 1e16)."""
+        values = np.concatenate([rng.integers(10**14, 10**15, 3000) + 0.125,
+                                 rng.integers(2**49, 2**50, 3000) + 0.25,
+                                 rng.integers(10**16, 2**56, 3000).astype(float)])
+        assert_exact(values)
+        for shortest in (False, True):
+            assert _digits(values, shortest)[2].all()
 
     def test_random_bits_and_scales(self, rng):
         bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)

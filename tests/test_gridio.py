@@ -1,13 +1,12 @@
 import json
-import multiprocessing
 import os
 import threading
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from exactbeam import AxisSpec, ConfigError, FieldGrid, gridio
+from exactbeam import AxisSpec, ConfigError, FieldGrid, _floattext, gridio
 from exactbeam.cli import main
 from exactbeam.gridio import FORMAT_VERSION, load, load_csv, load_json, save, save_csv, save_json
 
@@ -203,19 +202,19 @@ class TestGoldenBytes:
     def test_chunk_boundaries(self, shape, chunk_offset, rng, tmp_path, monkeypatch):
         """Grids of chunk+1, chunk and chunk-1 points."""
         grid = _random_grid(rng, shape)
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", grid.values.size + chunk_offset)
+        monkeypatch.setattr(_floattext, "BLOCK", grid.values.size + chunk_offset)
         _assert_same_bytes(grid, tmp_path)
 
     @pytest.mark.parametrize("shape", [(40,), (7, 6), (3, 4, 5)])
     def test_many_chunks(self, shape, rng, tmp_path, monkeypatch):
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        monkeypatch.setattr(_floattext, "BLOCK", 4)
         _assert_same_bytes(_random_grid(rng, shape), tmp_path)
 
     def test_default_chunk(self, rng, tmp_path):
-        _assert_same_bytes(_random_grid(rng, (gridio.CHUNK_ROWS + 3,)), tmp_path)
+        _assert_same_bytes(_random_grid(rng, (_floattext.BLOCK + 3,)), tmp_path)
 
     def test_signed_zero_and_non_finite(self, rng, tmp_path, monkeypatch):
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        monkeypatch.setattr(_floattext, "BLOCK", 4)
         grid = _random_grid(rng, (5, 3))
         flat = grid.values.reshape(-1)
         flat[0] = complex(-0.0, 0.0)
@@ -230,7 +229,7 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("negative_zero", [None, 0, 5])
     def test_all_zero_im(self, negative_zero, rng, tmp_path, monkeypatch):
         """A real quantity's im part, with at most one -0.0 in the first or second chunk."""
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
+        monkeypatch.setattr(_floattext, "BLOCK", 4)
         grid = _random_grid(rng, (5, 3))
         flat = grid.values.reshape(-1)
         flat.imag[:] = 0.0
@@ -240,13 +239,13 @@ class TestGoldenBytes:
         assert ("-0.0" in (tmp_path / "ours.json").read_text()) == (negative_zero is not None)
 
     def test_non_ascii_metadata(self, rng, tmp_path, monkeypatch):
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 5)
+        monkeypatch.setattr(_floattext, "BLOCK", 5)
         grid = _random_grid(rng, (4, 3), metadata={"note": "ψ(x₁) für Gouy", "mode": [0, 0]})
         _assert_same_bytes(grid, tmp_path)
 
 
 class TestGoldenBytesForked(TestGoldenBytes):
-    """The same cases with every chunk formatted by one of two forked workers."""
+    """The same cases with every chunk formatted by one of two pool threads."""
 
     workers = 2
 
@@ -268,7 +267,7 @@ class TestCliCsvGoldenBytes:
         usable_cpus(self.workers)
 
     def test_gouy_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(_floattext, "BLOCK", 7)
         doc = {"beam": {"k": 50}, "modes": [[1, 1]], "gouy": {"samples": 101}}
         assert _cli(tmp_path, "gouy", doc, tmp_path / "g.csv") == 0
         assert _cli(tmp_path, "gouy", doc, tmp_path / "g.json", "--format", "json") == 0
@@ -280,7 +279,7 @@ class TestCliCsvGoldenBytes:
         assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_compare_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(_floattext, "BLOCK", 3)
         doc = {"beam": {"k": 100}, "compare": {"points": 60}}
         assert _cli(tmp_path, "compare", doc, tmp_path / "c.csv") == 0
         assert _cli(tmp_path, "compare", doc, tmp_path / "c.json", "--format", "json") == 0
@@ -298,26 +297,28 @@ class TestCliCsvGoldenBytes:
 
 
 class TestCliCsvGoldenBytesForked(TestCliCsvGoldenBytes):
+    """The same CLI runs with every chunk formatted by one of two pool threads."""
+
     workers = 2
 
 
 # ---------------------------------------------------------------------------
-# Worker processes: how many start, and failures inside them.
+# The chunk thread pool: how many threads start, and failures inside them.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Count the processes forked while a test runs."""
-    count = [0]
-    real_fork = os.fork
+def pools(monkeypatch):
+    """The thread counts of the pools started while a test runs."""
+    started = []
+    start = ThreadPoolExecutor.__init__
 
-    def counting_fork():
-        count[0] += 1
-        return real_fork()
+    def counting_init(pool, max_workers=None, *args, **kwargs):
+        started.append(max_workers)
+        start(pool, max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return count
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+    return started
 
 
 def _run_within(seconds, fn, *args):
@@ -337,66 +338,69 @@ def _run_within(seconds, fn, *args):
     return outcome[0] if outcome else None
 
 
-def _worker_renders(monkeypatch, render):
-    """Make every forked worker format its chunks with ``render`` instead."""
-    adopt = gridio._adopt_renderer
-    monkeypatch.setattr(gridio, "_adopt_renderer", lambda _: adopt(render))
+def _no_fork():
+    raise AssertionError("os.fork called")
 
 
-def _raise_in_worker(start, stop):
-    raise ValueError(f"render failed on [{start}, {stop})")
+def _render_fails_after_first_chunk(monkeypatch):
+    """Make every chunk but the first raise; return the threads that raised."""
+    write_chunks, raised_in = gridio._write_chunks, []
 
+    def failing(fh, render, count):
+        def render_or_raise(start, stop):
+            if not start:
+                return render(start, stop)
+            raised_in.append(threading.current_thread())
+            raise ValueError(f"render failed on [{start}, {stop})")
 
-def _exit_worker(start, stop):
-    os._exit(3)
+        write_chunks(fh, render_or_raise, count)
+
+    monkeypatch.setattr(gridio, "_write_chunks", failing)
+    return raised_in
 
 
 class TestWorkers:
+    @pytest.fixture(autouse=True)
+    def _threads_joined(self):
+        """Every pool thread has finished when a writer returns or raises."""
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("writer", [save_csv, save_json])
-    def test_one_chunk_starts_no_process(self, writer, rng, tmp_path, monkeypatch, forks,
+    def test_one_chunk_starts_no_process(self, writer, rng, tmp_path, monkeypatch, pools,
                                          usable_cpus):
+        """No pool, and so no thread or process, for a one-chunk output."""
         usable_cpus(8)
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 30)  # JSON: 15 im + 15 re values
+        monkeypatch.setattr(_floattext, "BLOCK", 30)  # JSON: 15 im + 15 re values
         writer(_random_grid(rng, (5, 3)), tmp_path / "one")
-        assert forks[0] == 0
+        assert pools == []
 
     @pytest.mark.parametrize("cpus, chunks, expected", [(8, 3, 3), (2, 3, 2), (1, 3, 0)])
-    def test_worker_count(self, cpus, chunks, expected, rng, tmp_path, monkeypatch, forks,
+    def test_worker_count(self, cpus, chunks, expected, rng, tmp_path, monkeypatch, pools,
                           usable_cpus):
-        """min(usable CPUs, chunks) workers; none with one CPU."""
+        """min(usable CPUs, chunks) threads; no pool with one CPU."""
         usable_cpus(cpus)
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 5)
+        monkeypatch.setattr(_floattext, "BLOCK", 5)
         save_csv(_random_grid(rng, (chunks * 5,)), tmp_path / "f.csv")
-        assert forks[0] == expected
-        assert multiprocessing.active_children() == []
+        assert pools == ([expected] if expected else [])
 
     @pytest.mark.parametrize("writer", [save_csv, save_json])
     def test_worker_exception_reaches_caller(self, writer, rng, tmp_path, monkeypatch,
                                              usable_cpus):
         usable_cpus(2)
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
-        _worker_renders(monkeypatch, _raise_in_worker)
+        monkeypatch.setattr(_floattext, "BLOCK", 4)
+        raised_in = _render_fails_after_first_chunk(monkeypatch)
         error = _run_within(60, writer, _random_grid(rng, (6, 5)), tmp_path / "f")
         assert isinstance(error, ValueError) and "render failed" in str(error)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("writer", [save_csv, save_json])
-    def test_dead_worker_raises(self, writer, rng, tmp_path, monkeypatch, usable_cpus):
-        usable_cpus(2)
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 4)
-        _worker_renders(monkeypatch, _exit_worker)
-        error = _run_within(60, writer, _random_grid(rng, (6, 5)), tmp_path / "f")
-        assert isinstance(error, BrokenProcessPool)
-        assert multiprocessing.active_children() == []
+        assert raised_in and threading.main_thread() not in raised_in
 
     def test_chunks_in_flight_bounded(self, monkeypatch, usable_cpus):
-        """At most two chunks per worker are submitted ahead of the writer."""
-        from concurrent.futures import ProcessPoolExecutor
-
+        """At most two chunks per thread are submitted ahead of the writer."""
         usable_cpus(2)
-        monkeypatch.setattr(gridio, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(_floattext, "BLOCK", 1)
         written, ahead = [], []
-        submit = ProcessPoolExecutor.submit
+        submit = ThreadPoolExecutor.submit
 
         def counting_submit(pool, fn, *args):
             ahead.append(len(ahead) + 1 - len(written))
@@ -406,7 +410,63 @@ class TestWorkers:
             def write(self, data):
                 written.append(data)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
         gridio._write_chunks(Sink(), lambda start, stop: b"%d," % start, 20)
         assert b"".join(written) == b"".join(b"%d," % i for i in range(20))
         assert max(ahead) == 4
+
+    @pytest.mark.parametrize("block", [4, 5])
+    def test_bytes_independent_of_thread_count(self, block, rng, tmp_path, monkeypatch,
+                                               usable_cpus):
+        """1, 2 and 3 threads write the reference bytes; with 15 values per
+        JSON array, a 4-value chunk spans the switch from im to re and a
+        5-value chunk starts at it."""
+        monkeypatch.setattr(_floattext, "BLOCK", block)
+        grid = _random_grid(rng, (5, 3))
+        for workers in (1, 2, 3):
+            usable_cpus(workers)
+            _assert_same_bytes(grid, tmp_path)
+
+    @pytest.mark.parametrize("writer", [save_csv, save_json])
+    def test_never_forks(self, writer, rng, tmp_path, monkeypatch, pools, usable_cpus):
+        usable_cpus(2)
+        monkeypatch.setattr(_floattext, "BLOCK", 4)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        writer(_random_grid(rng, (6, 5)), tmp_path / "f")
+        assert pools == [2]
+
+
+class TestUsableCpus:
+    def test_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert gridio._usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_without_affinity(self, count, expected, monkeypatch):
+        """macOS and Windows have no sched_getaffinity: the machine's CPU count."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert gridio._usable_cpus() == expected
+
+
+def test_direct_and_fallback_blocks_spell_alike(rng, tmp_path, monkeypatch):
+    """A block the encoder spells in place, and the same block with one value
+    CPython must format, give the same bytes on every other row."""
+    spelled_in_place = []
+    spell = _floattext._spell
+
+    def recording_spell(digits, exponent, negative, shortest, out=None):
+        spelled_in_place.append(out is not None)
+        return spell(digits, exponent, negative, shortest, out)
+
+    monkeypatch.setattr(_floattext, "_spell", recording_spell)
+    columns = [rng.normal(size=200), 10.0 ** rng.uniform(-6, 12, 200)]
+    gridio.save_rows(tmp_path / "exact.csv", "a,b", columns)
+    columns[1][77] = np.nan
+    gridio.save_rows(tmp_path / "fallback.csv", "a,b", columns)
+    assert spelled_in_place == [True, True, True, False]
+    exact = (tmp_path / "exact.csv").read_text().splitlines()
+    fallback = (tmp_path / "fallback.csv").read_text().splitlines()
+    assert fallback[78] == exact[78].split(",")[0] + ",nan"
+    del exact[78], fallback[78]
+    assert exact == fallback

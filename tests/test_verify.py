@@ -468,11 +468,11 @@ class TestAlternateComparison:
         assert all(o >= 1.8 for o in orders)
 
 
-def _packages_loaded_by_cli_import() -> set:
-    """Top-level names in sys.modules after a fresh interpreter imports exactbeam.cli."""
+def _modules_loaded_by_cli_import() -> set:
+    """The names in sys.modules after a fresh interpreter imports exactbeam.cli."""
     src = str(Path(exactbeam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, exactbeam.cli; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    code = "import sys, exactbeam.cli; print(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             timeout=60)
     assert result.returncode == 0, result.stderr
@@ -480,9 +480,10 @@ def _packages_loaded_by_cli_import() -> set:
 
 
 def test_cli_import_leaves_out_scipy():
-    assert "scipy" not in _packages_loaded_by_cli_import()
+    assert "scipy" not in _modules_loaded_by_cli_import()
 
 
 def test_cli_import_leaves_out_process_pools():
-    """gridio imports them only when it forks workers."""
-    assert not {"multiprocessing", "concurrent"} & _packages_loaded_by_cli_import()
+    """gridio imports the thread pool and the float encoder only when it writes."""
+    loaded = _modules_loaded_by_cli_import()
+    assert not {"multiprocessing", "concurrent", "exactbeam._floattext"} & loaded
