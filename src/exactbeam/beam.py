@@ -16,19 +16,28 @@ longitudinal coordinate enters:
   complex prefactors instead of spot radius and Gouy factors.
 
 Every evaluator, here and in :mod:`exactbeam.constraint`, is an
-elementwise kernel run over blocks of at most ``BLOCK_POINTS`` points
-(rows of the broadcast shape) into one preallocated output, so a call
-holds its output plus a few cache-sized block temporaries: exact_psi on
-1e6 points peaks at about 17.6 MB, of which the output is 16 MB. The
-Hermite-Gaussian kernel shared by ``envelope_phi``, ``exact_psi`` and
-``paraxial_psi`` forms the exponent in real arithmetic and folds the
-carrier phase into the envelope phase, so each point costs one phasor
-amplitude * e^{i*phase}. ``_phasor`` builds it from the tangent of the
-half angle: numpy (2.4 on x86-64) runs float64 tan in SIMD loops but
-complex exp and float64 sin/cos point by point through libm, and even
-a scalar tan costs no more than the sin/cos pair inside a complex
-exponential. The rational Gaussian form and the angular limit F take
-their phasors from it too.
+elementwise kernel that writes blocks of at most ``BLOCK_POINTS`` points
+(rows of the broadcast shape) of one preallocated output in place, so a
+call holds its output plus a few cache-sized block temporaries: exact_psi
+on 1e6 points peaks at about 17.3 MB, of which the output is 16 MB. The
+kernels work in real arithmetic on reused buffers, with their scalar
+factors folded into one multiply:
+
+* the Hermite-Gaussian kernel shared by ``envelope_phi``, ``exact_psi``
+  and ``paraxial_psi`` forms xi and the Gaussian exponent from one
+  h = 1/(2 w^2), and runs the Hermite recurrence only from order 2;
+* the carrier phase k*x3 - omega*t is rounded once, halved exactly and
+  reduced by the nearest multiple of pi before the envelope phase is
+  added, so their sum rounds at the scale of pi;
+* each complex value is one rotation amplitude * e^{2i*half} from
+  t = tan(half) (``_rotate``): numpy (2.4 on x86-64) runs float64 tan in
+  SIMD loops, accurate to an ulp for any argument, but complex exp,
+  complex sqrt and float64 sin/cos point by point through libm;
+* the complex-source field takes its principal root R from libm's hypot
+  and two real square roots, and folds L_R/R, as (Re R - i Im R)/|R|^2,
+  into the rotation; the rational Gaussian form folds its Lorentzian
+  prefactor in the same way;
+* the density D and the angular limit F square their Hermite products.
 """
 
 from __future__ import annotations
@@ -56,10 +65,10 @@ BRANCH_CUT_TOL = 1e-6
 #: fresh mmap; hence the CLI's allocator policy (``cli._keep_freed_memory``).
 BLOCK_POINTS = 16_384
 
-#: 2*pi in three parts for the phase reduction of ``_phasor``: the first
-#: two have at most 24 significant bits, so n times either is exact for
-#: |n| < 2**29 (|phase| up to about 3.4e9), and the third is the rest.
-_TWO_PI_PARTS = (6.2831854820251465, -1.7484555314695172e-07, -6.8604979977715316e-15)
+#: pi in two parts for the reductions of ``_reduce_angle``: the first has 24
+#: significant bits, so n times it is exact for |n| < 2**29, and the second is the
+#: rest of pi rounded to double.
+_PI_PARTS = (3.1415927410125732, -8.742278000372485e-08)
 
 
 @dataclass(frozen=True)
@@ -223,81 +232,138 @@ def _fill(out, kernel, coords):
     rows = BLOCK_POINTS // row
     for start in range(0, out.shape[0], rows):
         block = slice(start, start + rows)
-        out[block] = kernel(*(_leading(c, out.ndim, block) for c in coords))
+        kernel(out[block], *(_leading(c, out.ndim, block) for c in coords))
 
 
 def _blockwise(kernel, *coords, dtype):
-    """Evaluate the elementwise ``kernel(*coords)`` in blocks of at most BLOCK_POINTS points.
+    """Evaluate the elementwise ``kernel(out, *coords)`` in blocks of at most BLOCK_POINTS points.
 
-    The output of the broadcast shape is preallocated and filled in
-    blocks of rows along its first axis (in blocks of each row's rows
-    when one row holds more than a block). Inputs that span that axis
-    are sliced, broadcast ones are passed through as they are, so
-    scalars and (n, 1) x (1, n) grids keep working. Inputs of at most
-    one block go straight to ``kernel``, which returns a numpy scalar
-    for 0-d input.
+    The output of the broadcast shape is preallocated and the kernel
+    writes each block of it in place: blocks of rows along its first
+    axis, or of each row's rows when one row holds more than a block.
+    Inputs that span that axis are sliced, broadcast ones are passed
+    through as they are, so scalars and (n, 1) x (1, n) grids keep
+    working. An output of at most one block is filled in one call;
+    0-d input is evaluated as one point and gives a numpy scalar.
     """
     coords = [np.asarray(c, dtype=float) for c in coords]
-    shape = np.broadcast_shapes(*(c.shape for c in coords))
-    if math.prod(shape) <= BLOCK_POINTS:
-        return kernel(*coords)
-    out = np.empty(shape, dtype=dtype)
+    out = np.empty(np.broadcast_shapes(*(c.shape for c in coords)), dtype=dtype)
+    if out.ndim == 0:
+        kernel(out.reshape(1), *(c.reshape(1) for c in coords))
+        return out[()]
+    if out.size <= BLOCK_POINTS:
+        kernel(out, *coords)
+        return out
     _fill(out, kernel, coords)
     return out
 
 
-def _phasor(amplitude, phase):
-    """amplitude * e^{i*phase} for real amplitude and phase, from one tangent per point.
+def _rotate(out, amplitude, half, factor=None):
+    """out <- amplitude * e^{2i*half} * (a - i b) on block buffers, overwriting amplitude and half.
 
-    The phase is reduced to r in [-pi, pi] as phase - n*2pi with
-    n = rint(phase/2pi), subtracting n*2pi in the three parts of
-    ``_TWO_PI_PARTS`` (Cody-Waite), and t = tan(r/2) then gives
-    cos r = (1 - t^2)/(1 + t^2) and sin r = 2t/(1 + t^2). r/2 stays off
-    the poles of tan, so |t| < 2e16 and t^2 cannot overflow. Up to
-    |phase| = 1e12 the absolute error on unit amplitude is at most
-    16 eps + 2 eps |phase|. A NaN or infinite phase gives NaN, as
-    np.exp(1j*phase) does. Works in three reused real buffers and
-    returns a numpy scalar for 0-d input.
+    ``factor`` is (a, b), with a = None for 1, or None for no factor.
+    t = tan(half) gives cos(2 half) = (1 - t^2)/(1 + t^2) and
+    sin(2 half) = 2t/(1 + t^2). numpy's float64 tan is accurate to an
+    ulp for any finite argument, so the phase needs no reduction, and no
+    double comes closer than about 2**-61 to a pole of tan (the worst
+    case of argument reduction), so |t| < 2**62 and t^2 cannot overflow.
+    A NaN or infinite ``half`` gives NaN. The complex factor is applied
+    in real arithmetic: numpy's complex multiply may round differently on
+    a short tail than in its vector loop.
     """
-    shape = np.broadcast_shapes(np.shape(amplitude), np.shape(phase))
-    n, r, w = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.rint(np.multiply(phase, 1.0 / (2.0 * np.pi), out=n), out=n)
-    np.subtract(phase, np.multiply(n, _TWO_PI_PARTS[0], out=w), out=r)
-    r -= np.multiply(n, _TWO_PI_PARTS[1], out=w)
-    r -= np.multiply(n, _TWO_PI_PARTS[2], out=w)
-    t = np.tan(np.multiply(r, 0.5, out=r), out=r)
-    t2 = np.multiply(t, t, out=n)
-    d = np.divide(amplitude, np.add(t2, 1.0, out=w), out=w)
-    out = np.empty(shape, dtype=complex)
-    np.multiply(d, np.subtract(1.0, t2, out=t2), out=out.real)
-    np.multiply(np.add(t, t, out=t), d, out=out.imag)
-    return out if out.ndim else out[()]
+    t = np.tan(half, out=half)
+    den = np.multiply(t, t)
+    cos = np.subtract(1.0, den)
+    den += 1.0
+    amplitude /= den
+    sin = np.add(t, t, out=t)
+    if factor is not None:
+        # (cos + i sin)(a - i b) = (a cos + b sin) + i (a sin - b cos)
+        a, b = factor
+        sin_b = np.multiply(sin, b, out=den)
+        cos_b = np.multiply(cos, b)
+        if a is not None:
+            cos *= a
+            sin *= a
+        cos += sin_b
+        sin -= cos_b
+    np.multiply(cos, amplitude, out=out.real)
+    np.multiply(sin, amplitude, out=out.imag)
 
 
-def _hermite_gauss(params: BeamParams, mode: ModeIndex, c_mn, x1, x2, s, carrier=None):
-    """One block of the Hermite-Gaussian envelope, times exp(i*carrier) if given.
+def _reduce_angle(angle, period=np.pi, offset=0.0):
+    """angle - (n + offset)*period with n = rint(angle/period - offset), in place.
 
-    With u = s/L_R, g = 1 + u^2 and a = k rho^2 / (2 L_R g), the
-    complex-Lorentzian exponent i k rho^2 / (2 (s - i L_R)) is -a + i a u,
-    so the value is the real amplitude C (w0/w) H_m H_n e^{-a} times
-    exp(i [a u - (1+m+n) arctan(u) + carrier]): one phasor.
+    ``angle`` is a block buffer, ``period`` is pi or pi/2 and ``offset``
+    is 0 or 1/2. (n + offset) times the first part of ``_PI_PARTS``
+    scaled to the period is exact for |n| < 2**28 and its subtraction is
+    exact (Sterbenz), so the result, in [-period/2, period/2], keeps its
+    relative accuracy near 0 and is off by at most about an ulp of
+    period/2 plus |n| * 1e-23.
     """
-    lr = params.rayleigh_range
-    u = s / lr
-    g = 1.0 + u * u
-    w = params.w0 * np.sqrt(g)
-    a = params.k * (x1 * x1 + x2 * x2) / (2.0 * lr * g)
-    amplitude = (
-        c_mn
-        * (params.w0 / w)
-        * hermite(mode.m, np.sqrt(2.0) * x1 / w)
-        * hermite(mode.n, np.sqrt(2.0) * x2 / w)
-        * np.exp(-a)
-    )
-    phase = a * u - (1 + mode.total_order) * np.arctan(u)
-    if carrier is not None:
-        phase = phase + carrier
-    return _phasor(amplitude, phase)
+    scale = period / np.pi
+    turns = np.multiply(angle, 1.0 / period, out=np.empty(angle.shape))
+    if offset:
+        turns -= offset
+        np.rint(turns, out=turns)
+        turns += offset
+    else:
+        np.rint(turns, out=turns)
+    angle -= np.multiply(turns, scale * _PI_PARTS[0])
+    angle -= np.multiply(turns, scale * _PI_PARTS[1], out=turns)
+    return angle
+
+
+def _hermite_pair(m, n, x1, x2, root):
+    """H_m(x1 root) H_n(x2 root) on a block, or None for m = n = 0.
+
+    Orders 0 and 1 run no recurrence (H_0 = 1, H_1 = 2 xi); higher
+    orders call :func:`exactbeam.numerics.hermite`.
+    """
+    product = None
+    for order, x in ((m, x1), (n, x2)):
+        if order:
+            xi = np.multiply(x, root)
+            factor = np.multiply(xi, 2.0, out=xi) if order == 1 else hermite(order, xi)
+            if product is None:
+                product = factor
+            else:
+                product *= factor
+    return product
+
+
+def _hermite_gauss(out, params: BeamParams, mode: ModeIndex, c_mn, x1, x2, u, half_carrier=None):
+    """One block of the Hermite-Gaussian envelope at u = s/L_R, times exp(2i*half_carrier) if given.
+
+    ``u`` is a block buffer that the kernel overwrites, and
+    ``half_carrier`` one that it reads. With g = 1 + u^2 and
+    h = 1/(2 w0^2 g), the spot radius is w = w0 sqrt(g), xi = sqrt(2) x/w
+    = 2 sqrt(h) x, and the complex-Lorentzian exponent
+    i k rho^2 / (2 (s - i L_R)) is -a + i a u with a = 2 h rho^2. The value
+    is the real amplitude C (w0/w) H_m(xi1) H_n(xi2) e^{-a}, with
+    w0/w = w0 sqrt(2h), times exp(i [a u - (1+m+n) arctan(u) + carrier]):
+    one rotation by the half angle h rho^2 u - (1+m+n) arctan(u)/2 + carrier/2.
+    """
+    m, n = mode.m, mode.n
+    g = np.multiply(u, u)
+    g += 1.0
+    h = np.divide(0.5 / params.w0**2, g, out=g)
+    half_a = np.multiply(x1, x1, out=np.empty(out.shape))
+    half_a += np.multiply(x2, x2)
+    half_a *= h
+    amplitude = np.multiply(half_a, -2.0)
+    np.exp(amplitude, out=amplitude)
+    root = np.sqrt(h, out=h)
+    amplitude *= root
+    if m or n:
+        root *= 2.0
+        amplitude *= _hermite_pair(m, n, x1, x2, root)
+    amplitude *= c_mn * params.w0 * math.sqrt(2.0)
+    half = np.multiply(half_a, u, out=half_a)
+    half -= np.multiply(np.arctan(u, out=u), 0.5 * (1 + m + n), out=u)
+    if half_carrier is not None:
+        half += half_carrier
+    _rotate(out, amplitude, half)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +391,25 @@ def envelope_phi(params: BeamParams, mode: ModeIndex, x1, x2, s, c_mn=None):
     """
     if c_mn is None:
         c_mn = normalization_constant(params, mode)
-    return _blockwise(
-        lambda x1, x2, s: _hermite_gauss(params, mode, c_mn, x1, x2, s),
-        x1, x2, s, dtype=complex,
-    )
+    inv_lr = 1.0 / params.rayleigh_range
+
+    def kernel(out, x1, x2, s):
+        u = np.multiply(s, inv_lr, out=np.empty(out.shape))
+        _hermite_gauss(out, params, mode, c_mn, x1, x2, u)
+
+    return _blockwise(kernel, x1, x2, s, dtype=complex)
+
+
+def _half_carrier(params: BeamParams, x3, t, shape):
+    """(k x3 - omega t)/2 reduced to [-pi/2, pi/2], before the envelope phase is added.
+
+    The carrier phase is rounded once, as k x3 - omega t (its half is
+    exact), and reduced nearly exactly, so the sum with the small
+    envelope phase rounds at the scale of pi instead of |k x3 - omega t|.
+    """
+    half = np.multiply(x3, 0.5 * params.k, out=np.empty(shape))
+    half -= np.multiply(t, 0.5 * params.omega)
+    return _reduce_angle(half)
 
 
 def exact_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=None):
@@ -341,10 +422,13 @@ def exact_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=None)
     """
     if c_mn is None:
         c_mn = normalization_constant(params, mode)
+    half_inv_lr = 0.5 / params.rayleigh_range
 
-    def kernel(x1, x2, x3, t):
-        s = 0.5 * (x3 + params.v * t)
-        return _hermite_gauss(params, mode, c_mn, x1, x2, s, params.k * x3 - params.omega * t)
+    def kernel(out, x1, x2, x3, t):
+        u = np.multiply(t, params.v, out=np.empty(out.shape))
+        u += x3
+        u *= half_inv_lr
+        _hermite_gauss(out, params, mode, c_mn, x1, x2, u, _half_carrier(params, x3, t, out.shape))
 
     return _blockwise(kernel, p.x1, p.x2, p.x3, p.t, dtype=complex)
 
@@ -357,9 +441,11 @@ def paraxial_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=No
     """
     if c_mn is None:
         c_mn = normalization_constant(params, mode)
+    inv_lr = 1.0 / params.rayleigh_range
 
-    def kernel(x1, x2, x3, t):
-        return _hermite_gauss(params, mode, c_mn, x1, x2, x3, params.k * x3 - params.omega * t)
+    def kernel(out, x1, x2, x3, t):
+        u = np.multiply(x3, inv_lr, out=np.empty(out.shape))
+        _hermite_gauss(out, params, mode, c_mn, x1, x2, u, _half_carrier(params, x3, t, out.shape))
 
     return _blockwise(kernel, p.x1, p.x2, p.x3, p.t, dtype=complex)
 
@@ -400,29 +486,12 @@ def _warn_near_branch_cut(lr, x1, x2, x3):
         )
 
 
-def complex_source_radius(params: BeamParams, x1, x2, x3, warn: bool = True):
-    """Complex distance R = sqrt(x1^2 + x2^2 + (x3 - i L_R)^2) from the displaced source.
-
-    Principal square root; for rho -> 0 with x3 > 0 this reduces to
-    x3 - i*L_R exactly. The branch cut of the principal root lies on
-    {x3 = 0, rho <= L_R}; points within ``BRANCH_CUT_TOL * L_R`` of it
-    trigger a :class:`BranchCutWarning` (the field jumps across the cut
-    and 1/R diverges at its edge rho = L_R).
-    """
-    lr = params.rayleigh_range
-    if warn:
-        _warn_near_branch_cut(lr, x1, x2, x3)
-    rho2 = np.asarray(x1) ** 2 + np.asarray(x2) ** 2
-    x3 = np.asarray(x3, dtype=float)
-    return np.sqrt(rho2 + (x3 - 1j * lr) ** 2)
-
-
 def alternate_exact_psi(params: BeamParams, p: SpaceTimePoint, scaled_amplitude=1.0):
     """Second exact Gaussian solution: spherical wave from a complex source point.
 
-    Evaluates (L_R/R) * exp[i k R - i omega t] for the complex radius
-    R of :func:`complex_source_radius`, in the overflow-safe rescaled
-    form
+    Evaluates (L_R/R) * exp[i k R - i omega t] for the complex distance
+    R = sqrt(x1^2 + x2^2 + (x3 - i L_R)^2) from the displaced source, in
+    the overflow-safe rescaled form
 
         scaled_amplitude * (L_R/R) * exp[i k (R + i L_R)] * exp(-i omega t).
 
@@ -431,16 +500,52 @@ def alternate_exact_psi(params: BeamParams, p: SpaceTimePoint, scaled_amplitude=
     beams (k*L_R is ~1e3 for optical parameters), so the product
     ``scaled_amplitude = raw_constant * exp(k*L_R)`` is the user-facing
     amplitude. For x3 > 0 the exponent ik(R + i L_R) has non-positive
-    real part, so the evaluation never overflows there. One
-    :class:`BranchCutWarning` covers the whole call.
+    real part, so the evaluation never overflows there.
+
+    R is the principal root, taken in real arithmetic: with
+    R^2 = A + iB, A = rho^2 + x3^2 - L_R^2, B = -2 L_R x3 and M = |R^2|,
+    big = sqrt((M + |A|)/2) and small = |B|/(2 big) are Re R and |Im R|
+    for A >= 0 and the other way round for A < 0, and Im R has the sign
+    of B, with B = +0 at x3 = +-0 as the complex form had it. Then
+    (L_R/R) e^{ik(R + i L_R)} = L_R e^{-k (Im R + L_R)}/M
+    * (Re R - i Im R) * e^{i k Re R}: one phasor times the conjugate
+    radius. The branch cut of the principal root lies on
+    {x3 = 0, rho <= L_R}; points within ``BRANCH_CUT_TOL * L_R`` of it
+    trigger one :class:`BranchCutWarning` for the whole call (the field
+    jumps across the cut and 1/R diverges at its edge rho = L_R).
     """
     lr = params.rayleigh_range
     _warn_near_branch_cut(lr, p.x1, p.x2, p.x3)
 
-    def kernel(x1, x2, x3, t):
-        R = complex_source_radius(params, x1, x2, x3, warn=False)
-        phase = 1j * params.k * (R + 1j * lr) - 1j * params.omega * t
-        return scaled_amplitude * (lr / R) * np.exp(phase)
+    def kernel(out, x1, x2, x3, t):
+        # A/2 and B/2, rounded as in the complex form; B/2 = 0 - L_R x3 is +0 at x3 = +-0
+        half_a = np.multiply(x1, x1, out=np.empty(out.shape))
+        half_a += np.multiply(x2, x2)
+        half_b = np.multiply(x3, x3, out=np.empty(out.shape))
+        half_b -= lr * lr
+        half_a += half_b
+        half_a *= 0.5
+        np.multiply(x3, lr, out=half_b)
+        np.subtract(0.0, half_b, out=half_b)
+        # libm's hypot, as in the complex sqrt: no overflow, and Re R to the last bit
+        modulus = np.hypot(half_a, half_b)
+        big = np.abs(half_a)
+        big += modulus
+        np.sqrt(big, out=big)
+        small = np.abs(half_b)
+        small /= big
+        # Re R = max(+-big, small) and |Im R| = max(-+big, small), + for A >= 0
+        np.copysign(big, half_a, out=big)
+        re = np.maximum(big, small)
+        im = np.maximum(np.negative(big, out=big), small, out=small)
+        np.copysign(im, half_b, out=im)
+        amplitude = np.add(im, lr, out=big)
+        amplitude *= -params.k
+        np.exp(amplitude, out=amplitude)
+        amplitude *= np.divide(0.5 * scaled_amplitude * lr, modulus, out=modulus)
+        half = np.multiply(re, 0.5 * params.k, out=half_a)
+        half -= np.multiply(t, 0.5 * params.omega, out=half_b)
+        _rotate(out, amplitude, half, (re, im))
 
     return _blockwise(kernel, p.x1, p.x2, p.x3, p.t, dtype=complex)
 
@@ -449,10 +554,11 @@ def bateman_gaussian_psi(params: BeamParams, p: SpaceTimePoint, c00=None):
     """Exact (0,0) Gaussian field in rational form.
 
     C_00 * L_R / (L_R + i u/2) * exp[i k rho^2 / (u - 2 i L_R)]
-    * exp[i(k x3 - omega t)], with u = x3 + v*t. With
-    q = k rho^2 / (u^2 + 4 L_R^2) the first exponent is -2 L_R q + i q u,
-    so the two exponentials are one phasor of amplitude e^{-2 L_R q} and
-    phase q u + k x3 - omega t. Algebraically identical to
+    * exp[i(k x3 - omega t)], with u = x3 + v*t. With b = u/(2 L_R) and
+    q = k rho^2 / (u^2 + 4 L_R^2) the prefactor is (1 - i b)/(1 + b^2)
+    and the first exponent is -2 L_R q + i q u, so the value is one
+    phasor of amplitude C_00 e^{-2 L_R q}/(1 + b^2) and phase
+    q u + k x3 - omega t, times 1 - i b. Algebraically identical to
     :func:`exact_psi` at mode (0,0): the rational prefactor folds the
     w0/w(s) amplitude decay and the Gouy factor into one complex
     Lorentzian.
@@ -460,12 +566,27 @@ def bateman_gaussian_psi(params: BeamParams, p: SpaceTimePoint, c00=None):
     if c00 is None:
         c00 = normalization_constant(params, ModeIndex(0, 0))
     lr = params.rayleigh_range
+    k = params.k
 
-    def kernel(x1, x2, x3, t):
-        u = x3 + params.v * t
-        q = params.k * (x1**2 + x2**2) / (u**2 + 4.0 * lr**2)
-        phase = q * u + (params.k * x3 - params.omega * t)
-        return c00 * lr / (lr + 0.5j * u) * _phasor(np.exp(-2.0 * lr * q), phase)
+    def kernel(out, x1, x2, x3, t):
+        b = np.multiply(t, params.v, out=np.empty(out.shape))
+        b += x3
+        b *= 0.5 / lr
+        inv = np.multiply(b, b)
+        inv += 1.0
+        np.divide(1.0, inv, out=inv)
+        # q = k/(4 L_R^2) * rho^2/(1 + b^2), so 2 L_R q and q u/2 = L_R q b are scalings of it
+        q = np.multiply(x1, x1, out=np.empty(out.shape))
+        q += np.multiply(x2, x2)
+        q *= inv
+        amplitude = np.multiply(q, -0.5 * k / lr)
+        np.exp(amplitude, out=amplitude)
+        amplitude *= inv
+        amplitude *= c00
+        half = np.multiply(q, b, out=q)
+        half *= 0.25 * k / lr
+        half += _half_carrier(params, x3, t, out.shape)
+        _rotate(out, amplitude, half, (None, b))
 
     return _blockwise(kernel, p.x1, p.x2, p.x3, p.t, dtype=complex)
 

@@ -16,13 +16,13 @@ follow from that reduction applied to the squared envelope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import (BeamParams, ModeIndex, _blockwise, _phasor, normalization_constant,
-                   spot_radius)
-from .numerics import hermite
+from .beam import (BeamParams, ModeIndex, _blockwise, _hermite_pair, _reduce_angle,
+                   normalization_constant)
 
 VARIANTS = ("paraxial_fP", "exact_fE")
 
@@ -98,25 +98,45 @@ def density_D(params: BeamParams, mode: ModeIndex, x1, x2, x3,
 
     ``include_jacobian=False`` drops the 2/v factor, leaving the bare
     squared-envelope form (the raw angular-form convention selectable
-    from the CLI).
+    from the CLI). The kernel forms h = 2/w^2, so that (w0/w)^2 = w0^2 h/2
+    and xi = sqrt(h) x.
     """
-    c = normalization_constant(params, mode)
+    m, n = mode.m, mode.n
+    scale = normalization_constant(params, mode) ** 2 * 0.5 * params.w0**2
+    if include_jacobian:
+        scale *= 2.0 / params.v
+    lr = params.rayleigh_range
 
-    def kernel(x1, x2, x3):
-        r = np.sqrt(x1**2 + x2**2 + x3**2)
-        w = spot_radius(params, r)
-        value = (
-            c**2
-            * (params.w0 / w) ** 2
-            * hermite(mode.m, np.sqrt(2.0) * x1 / w) ** 2
-            * hermite(mode.n, np.sqrt(2.0) * x2 / w) ** 2
-            * np.exp(-2.0 * (x1**2 + x2**2) / w**2)
-        )
-        if include_jacobian:
-            value = value * (2.0 / params.v)
-        return value
+    def kernel(out, x1, x2, x3):
+        value = np.multiply(x1, x1, out=np.empty(out.shape))
+        value += np.multiply(x2, x2)
+        # w(r)^2 and the exponent -2 rho^2 / w^2, formed step by step as the closed form reads
+        w2 = np.multiply(x3, x3, out=np.empty(out.shape))
+        w2 += value
+        np.sqrt(w2, out=w2)
+        w2 /= lr
+        w2 *= w2
+        w2 += 1.0
+        np.sqrt(w2, out=w2)
+        w2 *= params.w0
+        w2 *= w2
+        value *= -2.0
+        value /= w2
+        np.exp(value, out=value)
+        h = np.divide(2.0, w2, out=w2)
+        value *= h
+        _times_hermite_squares(out, value, m, n, x1, x2, np.sqrt(h, out=h), scale)
 
     return _blockwise(kernel, x1, x2, x3, dtype=float)
+
+
+def _times_hermite_squares(out, value, m, n, x1, x2, root, scale):
+    """out <- scale * value * (H_m(x1 root) H_n(x2 root))^2, overwriting ``value``."""
+    product = _hermite_pair(m, n, x1, x2, root)
+    if product is not None:
+        product *= product
+        value *= product
+    np.multiply(value, scale, out=out)
 
 
 def asymptotic_F(params: BeamParams, mode: ModeIndex, theta, phi):
@@ -127,24 +147,44 @@ def asymptotic_F(params: BeamParams, mode: ModeIndex, theta, phi):
         * exp(-2 sin(theta)^2 L_R^2 / w0^2),
 
     so that r^2 * density_D -> F * (2/v) as r -> infinity at fixed
-    angles inside the beam cone. sin(theta), cos(phi) and sin(phi) come
-    from the phasors e^{i theta} and e^{i phi} of :func:`beam._phasor`.
+    angles inside the beam cone. Each sine comes from the tangent of its
+    half angle, sin(a) = 2 tan(a/2)/(1 + tan(a/2)^2): numpy's tan is
+    accurate to an ulp for any argument, and a/2 is exact, so the sine
+    keeps its relative accuracy next to its zeros. F needs only the
+    squares of cos(phi) and sin(phi), and cos(phi) is taken as the sine
+    of phi less the nearest odd multiple of pi/2, so it too stays
+    accurate next to its zeros, where the Hermite factor of odd order
+    has a node.
     """
-    lr = params.rayleigh_range
-    c = normalization_constant(params, mode)
-    ratio = lr / params.w0
+    m, n = mode.m, mode.n
+    ratio = params.rayleigh_range / params.w0
+    scale = (normalization_constant(params, mode) * params.rayleigh_range) ** 2
+    xi_scale = 4.0 * math.sqrt(2.0) * ratio
 
-    def kernel(theta, phi):
-        st = _phasor(1.0, theta).imag
-        e_phi = _phasor(1.0, phi)
-        arg1 = np.sqrt(2.0) * st * e_phi.real * ratio
-        arg2 = np.sqrt(2.0) * st * e_phi.imag * ratio
-        return (
-            c**2
-            * lr**2
-            * hermite(mode.m, arg1) ** 2
-            * hermite(mode.n, arg2) ** 2
-            * np.exp(-2.0 * st**2 * ratio**2)
-        )
+    def kernel(out, theta, phi):
+        # xi1^2 + xi2^2 = 8 (L_R/w0)^2 (sin(theta)/2)^2, and xi is 4 sqrt(2) (L_R/w0)
+        # (sin(theta)/2) times cos(phi)/2 or sin(phi)/2
+        root = _half_sine(np.multiply(theta, 0.5, out=np.empty(out.shape)))
+        value = np.multiply(root, root)
+        value *= -8.0 * ratio**2
+        np.exp(value, out=value)
+        cos = sin = None
+        if m or n:
+            half = np.multiply(phi, 0.5, out=np.empty(out.shape))
+            if m:
+                cos = _half_sine(_reduce_angle(half.copy() if n else half, 0.5 * np.pi, 0.5))
+            if n:
+                sin = _half_sine(half)
+            root *= xi_scale
+        _times_hermite_squares(out, value, m, n, cos, sin, root, scale)
 
     return _blockwise(kernel, theta, phi, dtype=float)
+
+
+def _half_sine(half):
+    """sin(2 half)/2 = t/(1 + t^2) with t = tan(half), overwriting the block buffer ``half``."""
+    t = np.tan(half, out=half)
+    den = np.multiply(t, t)
+    den += 1.0
+    t /= den
+    return t

@@ -21,8 +21,8 @@ def hermite(order: int, x):
     """Physicists' Hermite polynomial H_order(x).
 
     Evaluated with the three-term recurrence
-    ``H_{k+1}(x) = 2 x H_k(x) - 2 k H_{k-1}(x)`` seeded by H_0 = 1 and
-    H_1(x) = 2x, updating two buffers in place.
+    ``H_{k+1}(x) = 2 x H_k(x) - 2 k H_{k-1}(x)`` seeded by H_1(x) = 2x and
+    H_2(x) = (2x)^2 - 2, updating two buffers in place.
 
     Parameters
     ----------
@@ -44,15 +44,19 @@ def hermite(order: int, x):
             f"Hermite order {order} exceeds the supported maximum {MAX_HERMITE_ORDER}"
         )
     x = np.asarray(x, dtype=float)
-    h = np.ones_like(x)
-    if order > 0:
-        two_x = 2.0 * x
-        h_prev, h = h, two_x.copy()
-        for k in range(1, order):
+    if order == 0:
+        h = np.ones_like(x)
+    else:
+        h = two_x = 2.0 * x
+    if order > 1:
+        h_prev, h = two_x.copy(), np.multiply(two_x, two_x)
+        h -= 2.0
+        term = np.empty_like(h)
+        for k in range(2, order):
             # h_prev <- 2x h - 2k h_prev, in place: the same two roundings
             # as the out-of-place form, since a - b is a + (-b) in IEEE 754
             h_prev *= -2.0 * k
-            h_prev += two_x * h
+            h_prev += np.multiply(two_x, h, out=term)
             h_prev, h = h, h_prev
     if x.ndim == 0:
         return float(h)

@@ -1,6 +1,6 @@
 """Independent oracles for the test suite.
 
-Everything here is assembled from scratch with cmath/scipy/mpmath
+Everything here is assembled from scratch with cmath/numpy/scipy/mpmath
 primitives, deliberately avoiding the package's own evaluation code
 paths, so a shared bug cannot cancel out of a comparison.
 """
@@ -113,3 +113,95 @@ def mollified_extrapolated(params, integrand, kind, x1, x2, x3, sigmas) -> float
     v1, v2 = values[-2], values[-1]
     ratio2 = (s1 / s2) ** 2
     return (ratio2 * v2 - v1) / (ratio2 - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# vectorised references with term-scaled allowances
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def hermite_terms(order: int, x):
+    """(H_order(x), sum of the moduli of its power-series terms at x), elementwise.
+
+    Both come from ``numpy.polynomial``: the value from the Hermite
+    series, the scale from the power-basis coefficients at |x|.
+    """
+    coef = [0.0] * order + [1.0]
+    terms = np.abs(np.polynomial.hermite.herm2poly(coef))
+    return (np.polynomial.hermite.hermval(x, coef),
+            np.polynomial.polynomial.polyval(np.abs(x), terms))
+
+
+def _norm(w0, m, n):
+    return math.sqrt(2.0 / (math.pi * 2.0 ** (m + n) * math.factorial(m) * math.factorial(n))) / w0
+
+
+def hermite_gauss_reference(k, w0, v, m, n, x1, x2, x3, t, envelope_arg="exact"):
+    """(value, allowance) of the exact or paraxial Hermite-Gaussian field, factor by factor.
+
+    The allowance is 1e-12 of the value with each Hermite polynomial
+    replaced by the sum of its term moduli, plus 4 eps |z| |value| for
+    the envelope exponent z. The carrier exp[i(k x3 - omega t)] is its
+    own complex exponential of the once-rounded carrier phase, so its
+    phase rounding is shared with the field under test and not allowed for.
+    """
+    lr = 0.5 * k * w0 * w0
+    s = 0.5 * (x3 + v * t) if envelope_arg == "exact" else x3
+    w = w0 * np.sqrt(1.0 + (s / lr) ** 2)
+    hm, sm = hermite_terms(m, math.sqrt(2.0) * x1 / w)
+    hn, sn = hermite_terms(n, math.sqrt(2.0) * x2 / w)
+    z = 1j * k * (x1 * x1 + x2 * x2) / (2.0 * (s - 1j * lr)) - 1j * (1 + m + n) * np.arctan2(s, lr)
+    pref = _norm(w0, m, n) * w0 / w * np.abs(np.exp(z))
+    value = _norm(w0, m, n) * w0 / w * hm * hn * np.exp(z) * np.exp(1j * (k * x3 - (k * v) * t))
+    return value, 1e-12 * pref * sm * sn + 4.0 * EPS * np.abs(z) * np.abs(value)
+
+
+def bateman_reference(k, w0, v, x1, x2, x3, t):
+    """(value, allowance) of the rational-form (0,0) field, with the carrier as in
+    :func:`hermite_gauss_reference`."""
+    lr = 0.5 * k * w0 * w0
+    u = x3 + v * t
+    z = 1j * k * (x1 * x1 + x2 * x2) / (u - 2j * lr)
+    value = (_norm(w0, 0, 0) * lr / (lr + 0.5j * u) * np.exp(z)
+             * np.exp(1j * (k * x3 - (k * v) * t)))
+    return value, (1e-12 + 4.0 * EPS * np.abs(z)) * np.abs(value)
+
+
+def alternate_reference(k, w0, v, x1, x2, x3, t):
+    """(value, allowance) of the complex-source field with numpy's complex sqrt and exp.
+
+    Besides 1e-12 and 4 eps |z| for the exponent z, the allowance has
+    4 eps k |R|: R is rounded once by any evaluation, and the phase
+    k Re R - omega t can be far smaller than k |R|.
+    """
+    lr = 0.5 * k * w0 * w0
+    radius = np.sqrt(x1 * x1 + x2 * x2 + (x3 - 1j * lr) ** 2)
+    z = 1j * k * (radius + 1j * lr) - 1j * (k * v) * t
+    value = (lr / radius) * np.exp(z)
+    return value, (1e-12 + 4.0 * EPS * (np.abs(z) + k * np.abs(radius))) * np.abs(value)
+
+
+def density_reference(k, w0, v, m, n, x1, x2, x3):
+    """(value, allowance) of the constrained density D_mn, Jacobian 2/v included."""
+    lr = 0.5 * k * w0 * w0
+    w = w0 * np.sqrt(1.0 + (x1 * x1 + x2 * x2 + x3 * x3) / lr**2)
+    hm, sm = hermite_terms(m, math.sqrt(2.0) * x1 / w)
+    hn, sn = hermite_terms(n, math.sqrt(2.0) * x2 / w)
+    z = -2.0 * (x1 * x1 + x2 * x2) / (w * w)
+    pref = _norm(w0, m, n) ** 2 * (w0 / w) ** 2 * np.exp(z) * 2.0 / v
+    value = pref * hm * hm * hn * hn
+    return value, 1e-12 * pref * sm * sm * sn * sn + 4.0 * EPS * np.abs(z) * value
+
+
+def angular_reference(k, w0, m, n, theta, phi):
+    """(value, allowance) of the far-field angular function F_mn, with libm sin and cos."""
+    lr = 0.5 * k * w0 * w0
+    st = np.sin(theta)
+    hm, sm = hermite_terms(m, math.sqrt(2.0) * st * np.cos(phi) * lr / w0)
+    hn, sn = hermite_terms(n, math.sqrt(2.0) * st * np.sin(phi) * lr / w0)
+    z = -2.0 * st * st * (lr / w0) ** 2
+    pref = _norm(w0, m, n) ** 2 * lr * lr * np.exp(z)
+    value = pref * hm * hm * hn * hn
+    return value, 1e-12 * pref * sm * sm * sn * sn + 4.0 * EPS * np.abs(z) * value

@@ -26,7 +26,9 @@ from exactbeam import (
 )
 from exactbeam.constraint import asymptotic_F, density_D
 from exactbeam.numerics import hermite
-from oracle_tools import alternate_term_by_term, envelope_term_by_term, psi_mpmath
+from oracle_tools import (alternate_reference, alternate_term_by_term, angular_reference,
+                          bateman_reference, density_reference, envelope_term_by_term,
+                          hermite_gauss_reference, hermite_terms, psi_mpmath)
 
 
 class TestBeamParams:
@@ -325,6 +327,48 @@ class TestAlternateExact:
         scale = np.maximum(np.abs(vals[1:]), np.abs(vals[:-1]))
         assert np.all(jumps < 0.05 * scale.max())
 
+    @staticmethod
+    def _complex_form(params, x1, x2, x3, t):
+        """The field from numpy's complex sqrt and exp, as the kernel once had it."""
+        lr = params.rayleigh_range
+        with np.errstate(all="ignore"):
+            radius = np.sqrt(np.asarray(x1) ** 2 + np.asarray(x2) ** 2
+                             + (np.asarray(x3, dtype=float) - 1j * lr) ** 2)
+            exponent = 1j * params.k * (radius + 1j * lr) - 1j * params.omega * t
+            return (lr / radius) * np.exp(exponent)
+
+    def test_both_sides_of_the_branch_cut(self):
+        # the real-arithmetic principal root, x3 = +-0 included, agrees with the complex
+        # form to rounding: 1e-13 plus 4 eps per radian of k |R| and omega t. At
+        # k L_R = 8 no value underflows, so the branch taken shows in every value
+        beam = BeamParams(k=4.0, w0=1.0)
+        lr = beam.rayleigh_range
+        rho = np.array([0.0, 0.3, 0.999, 1.001, 3.0]) * lr
+        x3 = np.array([-1e-3 * lr, -1e-9 * lr, -1e-300, -0.0, 0.0, 1e-300, 1e-9 * lr, 1e-3 * lr])
+        t = np.array([0.0, 0.7 * lr])
+        x1, x3, t = (a.ravel() for a in np.meshgrid(rho, x3, t, indexing="ij"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BranchCutWarning)
+            got = alternate_exact_psi(beam, SpaceTimePoint(x1, 0.0, x3, t))
+        want = self._complex_form(beam, x1, 0.0, x3, t)
+        radius = np.abs(np.sqrt(x1**2 + (x3 - 1j * lr) ** 2))
+        allowed = 1e-13 + 4.0 * EPS * (beam.k * radius + beam.omega * np.abs(t))
+        assert np.all(np.abs(want) > 1e-12)
+        assert np.all(np.abs(got - want) <= allowed * np.abs(want))
+
+    def test_finite_where_the_complex_form_is(self, beam50):
+        # coordinates up to 1e150: |A| reaches 1e300, whose square would overflow; the
+        # modulus comes from hypot, and no RuntimeWarning escapes
+        mags = np.array([0.0, 1e-3, 1.0, 25.0 * 1.01, 1e3, 1e10, 1e50, 1e100, 1e150])
+        values = np.concatenate([-mags[1:], mags])
+        x1, x3, t = (a.ravel() for a in np.meshgrid(values, values, values, indexing="ij"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BranchCutWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            got = alternate_exact_psi(beam50, SpaceTimePoint(x1, 0.0, x3, t))
+        want = self._complex_form(beam50, x1, 0.0, x3, t)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
 
 class TestRationalGaussianForm:
     def test_matches_exact_mode00(self, beam50, rng):
@@ -427,9 +471,10 @@ class TestBlocking:
         monkeypatch.setattr(beam, "BLOCK_POINTS", 16)
         sizes = []
 
-        def kernel(x, y):
-            sizes.append(np.broadcast(x, y).size)
-            return x + y
+        def kernel(out, x, y):
+            assert np.broadcast_shapes(out.shape, x.shape, y.shape) == out.shape
+            sizes.append(out.size)
+            np.add(x, y, out=out)
 
         x = np.arange(math.prod(shape), dtype=float).reshape(shape)
         y = np.linspace(0.0, 1.0, shape[-1])
@@ -480,6 +525,73 @@ class TestMpmathReference:
                 allowed = 1e-12 + 4.0 * eps * (abs(params.k * x3) + abs(params.omega * t))
                 assert abs(got - want) <= allowed * abs(want), (family, x1, x2, x3, t)
 
+    def test_mode_10_10_next_to_the_nodes(self, beam50):
+        # xi1 and xi2 both 1e-3 above or 1e-4 below zeros of H_10 (the same side, so that
+        # an error in the scale of xi cannot cancel between them), where the value is
+        # 1e3-1e4 times below its term sum: the error stays within 1e-11 of the value
+        lr = beam50.rayleigh_range
+        zeros = np.polynomial.hermite.hermgauss(10)[0]
+        rng = np.random.default_rng(10)
+        for i, zero in enumerate(zeros):
+            for delta in (1e-3, -1e-4):
+                x3, t = rng.uniform(-3.0, 3.0, 2) * lr
+                half_w = spot_radius(beam50, 0.5 * (x3 + t)) / np.sqrt(2.0)
+                x1 = zero * (1.0 + delta) * half_w
+                x2 = zeros[(i + 3) % 10] * (1.0 + delta) * half_w
+                got = exact_psi(beam50, ModeIndex(10, 10), SpaceTimePoint(x1, x2, x3, t))
+                want = psi_mpmath(beam50.k, beam50.w0, beam50.v, 10, 10, x1, x2, x3, t)
+                assert abs(got - want) <= 1e-11 * abs(want), (zero, delta, abs(got / want - 1))
+
+
+def _beam_points(rng, lr, count, forward=False):
+    """Space-time points within two spot radii with |x3|, |v t| <= 3 L_R, as in the eval_api
+    workload; with ``forward``, x3 in [0.2, 3] L_R ahead of the complex source's branch cut."""
+    x3 = rng.uniform(0.2 if forward else -3.0, 3.0, count) * lr
+    t = rng.uniform(-3.0, 3.0, count) * lr
+    s = x3 if forward else 0.5 * (x3 + t)
+    w = np.sqrt(1.0 + (s / lr) ** 2)
+    x1, x2 = rng.uniform(-2.0, 2.0, (2, count)) * w
+    return x1, x2, x3, t
+
+
+class TestTermScaledReference:
+    """Every evaluator against vectorised references with the benchmark oracle's allowances:
+    1e-12 of the value with each Hermite polynomial replaced by its term moduli, plus 4 eps
+    per unit of exponent modulus (see ``oracle_tools``)."""
+
+    @pytest.mark.parametrize("k_w0", [1.0, 50.0, 1000.0, 10000.0])
+    def test_every_evaluator(self, k_w0):
+        params = BeamParams(k=k_w0, w0=1.0, v=1.0)
+        k, lr = params.k, params.rayleigh_range
+        rng = np.random.default_rng(int(k_w0) + 23)
+        x1, x2, x3, t = _beam_points(rng, lr, 2000)
+        p = SpaceTimePoint(x1, x2, x3, t)
+        f1, f2, f3, ft = _beam_points(rng, lr, 2000, forward=True)
+        d3 = rng.uniform(0.1, 5.0, 2000) * lr
+        d1, d2 = rng.uniform(-2.0, 2.0, (2, 2000)) * np.sqrt(1.0 + (d3 / lr) ** 2)
+        theta = rng.uniform(0.0, min(0.5 * np.pi, 5.0 / lr), 2000)
+        phi = rng.uniform(-np.pi, np.pi, 2000)
+        cases = [
+            ("exact (2,1)", exact_psi(params, ModeIndex(2, 1), p),
+             hermite_gauss_reference(k, 1.0, 1.0, 2, 1, x1, x2, x3, t)),
+            ("exact (10,10)", exact_psi(params, ModeIndex(10, 10), p),
+             hermite_gauss_reference(k, 1.0, 1.0, 10, 10, x1, x2, x3, t)),
+            ("paraxial (3,0)", paraxial_psi(params, ModeIndex(3, 0), p),
+             hermite_gauss_reference(k, 1.0, 1.0, 3, 0, x1, x2, x3, t, envelope_arg="paraxial")),
+            ("gaussian", bateman_gaussian_psi(params, p),
+             bateman_reference(k, 1.0, 1.0, x1, x2, x3, t)),
+            ("alternate", alternate_exact_psi(params, SpaceTimePoint(f1, f2, f3, ft)),
+             alternate_reference(k, 1.0, 1.0, f1, f2, f3, ft)),
+            ("density (3,2)", density_D(params, ModeIndex(3, 2), d1, d2, d3),
+             density_reference(k, 1.0, 1.0, 3, 2, d1, d2, d3)),
+            ("F (3,2)", asymptotic_F(params, ModeIndex(3, 2), theta, phi),
+             angular_reference(k, 1.0, 3, 2, theta, phi)),
+        ]
+        for name, got, (want, allowed) in cases:
+            ratio = np.abs(got - want) / allowed
+            worst = int(np.argmax(ratio))
+            assert ratio[worst] <= 1.0, (name, worst, ratio[worst])
+
 
 EPS = np.finfo(float).eps
 
@@ -496,25 +608,33 @@ def _phase_cases():
 
 
 def _hermite_gauss_libm(params, mode, x1, x2, s, carrier):
-    """The Hermite-Gaussian kernel with the phasor from the complex exponential it replaced."""
+    """The Hermite-Gaussian field from the recurrence and libm exponentials, and its term scale.
+
+    The envelope phase and the once-rounded carrier phase each get their
+    own exponential, so the carrier's rounding is shared with the kernel
+    and the sum of the two phases is not rounded at all. The scale is the
+    modulus with each Hermite polynomial replaced by the sum of its term
+    moduli: next to a node two evaluations of H differ on that scale.
+    """
     lr = params.rayleigh_range
     u = s / lr
     g = 1.0 + u * u
     w = params.w0 * np.sqrt(g)
     a = params.k * (x1 * x1 + x2 * x2) / (2.0 * lr * g)
-    amplitude = (normalization_constant(params, mode) * (params.w0 / w)
-                 * hermite(mode.m, np.sqrt(2.0) * x1 / w) * hermite(mode.n, np.sqrt(2.0) * x2 / w)
-                 * np.exp(-a))
-    return amplitude * np.exp(1j * (a * u - (1 + mode.total_order) * np.arctan(u) + carrier))
+    envelope = normalization_constant(params, mode) * (params.w0 / w) * np.exp(-a)
+    xi1, xi2 = np.sqrt(2.0) * x1 / w, np.sqrt(2.0) * x2 / w
+    value = (envelope * hermite(mode.m, xi1) * hermite(mode.n, xi2)
+             * np.exp(1j * (a * u - (1 + mode.total_order) * np.arctan(u))) * np.exp(1j * carrier))
+    return value, envelope * hermite_terms(mode.m, xi1)[1] * hermite_terms(mode.n, xi2)[1]
 
 
 def _bateman_libm(params, x1, x2, x3, t):
-    """The rational Gaussian form with both exponents under one complex exponential, as it was."""
+    """The rational Gaussian form with libm complex exponentials, the carrier under its own."""
     lr = params.rayleigh_range
     u = x3 + params.v * t
-    exponent = (1j * params.k * (x1**2 + x2**2) / (u - 2j * lr)
-                + 1j * (params.k * x3 - params.omega * t))
-    return normalization_constant(params, ModeIndex(0, 0)) * lr / (lr + 0.5j * u) * np.exp(exponent)
+    return (normalization_constant(params, ModeIndex(0, 0)) * lr / (lr + 0.5j * u)
+            * np.exp(1j * params.k * (x1**2 + x2**2) / (u - 2j * lr))
+            * np.exp(1j * (params.k * x3 - params.omega * t)))
 
 
 def _asymptotic_F_libm(params, mode, theta, phi):
@@ -528,47 +648,41 @@ def _asymptotic_F_libm(params, mode, theta, phi):
             * hermite(mode.n, arg2) ** 2 * np.exp(-2.0 * st**2 * ratio**2))
 
 
+def _rotated(amplitude, phase):
+    """amplitude * e^{i*phase} from ``beam._rotate`` on fresh buffers."""
+    phase = np.asarray(phase, dtype=float)
+    out = np.empty(phase.shape, dtype=complex)
+    beam._rotate(out, np.full(phase.shape, amplitude, dtype=float), 0.5 * phase)
+    return out
+
+
 class TestPhasor:
     def test_against_mpmath_expj(self):
+        # tan of the exact half phase: a few eps at any phase, with no reduction error
         phase = _phase_cases()
-        got = beam._phasor(1.0, phase)
+        got = _rotated(1.0, phase)
         with mpmath.workdps(40):
             want = np.array([complex(mpmath.expj(mpmath.mpf(float(p)))) for p in phase])
         error = np.abs(got - want)
-        allowed = 16.0 * EPS + 2.0 * EPS * np.abs(phase)
-        worst = int(np.argmax(error / allowed))
-        assert np.all(error <= allowed), (phase[worst], error[worst] / EPS)
+        worst = int(np.argmax(error))
+        assert np.all(error <= 16.0 * EPS), (phase[worst], error[worst] / EPS)
 
     def test_extreme_amplitudes_stay_finite(self):
         phase = np.concatenate([_phase_cases()[::7], [np.pi, -np.pi]])
         for amplitude in (0.0, 5e-324, 1e-310, 1e300):
-            got = beam._phasor(amplitude, phase)
+            got = _rotated(amplitude, phase)
             assert np.all(np.isfinite(got.real)) and np.all(np.isfinite(got.imag)), amplitude
-        np.testing.assert_array_equal(beam._phasor(0.0, phase), 0.0)
-        big = beam._phasor(1e300, phase)
-        np.testing.assert_allclose(big / 1e300, beam._phasor(1.0, phase), rtol=4 * EPS, atol=0)
+        np.testing.assert_array_equal(_rotated(0.0, phase), 0.0)
+        big = _rotated(1e300, phase)
+        np.testing.assert_allclose(big / 1e300, _rotated(1.0, phase), rtol=4 * EPS, atol=0)
 
     def test_non_finite_phase_gives_nan(self):
         phase = np.array([np.nan, np.inf, -np.inf])
         with np.errstate(invalid="ignore"):
-            got = beam._phasor(2.0, phase)
+            got = _rotated(2.0, phase)
             libm = 2.0 * np.exp(1j * phase)
         assert np.all(np.isnan(got.real)) and np.all(np.isnan(got.imag))
         assert np.all(np.isnan(libm.real)) and np.all(np.isnan(libm.imag))
-
-    def test_broadcasting_and_scalars(self):
-        phase = np.linspace(-30.0, 30.0, 11)
-        scalar = beam._phasor(2.5, phase)
-        assert scalar.shape == (11,)
-        assert scalar.tobytes() == beam._phasor(np.full(11, 2.5), phase).tobytes()
-        amplitude = np.array([[1.0], [0.5], [3.0]])
-        grid = beam._phasor(amplitude, phase)
-        assert grid.shape == (3, 11)
-        for row, a in zip(grid, amplitude[:, 0]):
-            assert row.tobytes() == beam._phasor(np.full(11, a), phase).tobytes()
-        zero_d = beam._phasor(np.array(2.0), np.array(0.3))
-        assert isinstance(zero_d, np.complex128)
-        assert zero_d == beam._phasor(2.0, np.array([0.3]))[0]
 
     @pytest.fixture
     def general_points(self, beam50):
@@ -587,21 +701,19 @@ class TestPhasor:
         carrier = beam50.k * x3 - beam50.omega * t
         p = SpaceTimePoint(x1, x2, x3, t)
         s = 0.5 * (x3 + beam50.v * t)
-        for got, want in (
+        for got, (want, scale) in (
             (exact_psi(beam50, mode, p), _hermite_gauss_libm(beam50, mode, x1, x2, s, carrier)),
             (paraxial_psi(beam50, mode, p), _hermite_gauss_libm(beam50, mode, x1, x2, x3, carrier)),
             (envelope_phi(beam50, mode, x1, x2, s), _hermite_gauss_libm(beam50, mode, x1, x2, s, 0.0)),
         ):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_bateman_matches_libm_form(self, beam50, general_points):
-        # the phase is now summed as q u + (k x3 - omega t) instead of inside a complex
-        # exponent, which moves it by an ulp of the carrier phase: 2 eps per radian
+        # the carrier phase is reduced before the envelope phase is added, so the sum
+        # rounds at the scale of pi and not of |k x3 - omega t|
         x1, x2, x3, t = general_points
         got = bateman_gaussian_psi(beam50, SpaceTimePoint(x1, x2, x3, t))
-        want = _bateman_libm(beam50, x1, x2, x3, t)
-        allowed = 1e-13 + 2.0 * EPS * (np.abs(beam50.k * x3) + np.abs(beam50.omega * t))
-        assert np.all(np.abs(got - want) <= allowed * np.abs(want))
+        np.testing.assert_allclose(got, _bateman_libm(beam50, x1, x2, x3, t), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("mode", [(0, 0), (3, 2), (10, 10)])
     def test_asymptotic_F_matches_libm_form(self, beam50, mode):

@@ -20,7 +20,7 @@ from exactbeam import (
     normalization_constant,
     time_jacobian,
 )
-from oracle_tools import mollified_extrapolated
+from oracle_tools import angular_reference, mollified_extrapolated
 
 
 class TestConstraintKind:
@@ -168,6 +168,19 @@ class TestAsymptoticF:
         a = asymptotic_F(beam50, ModeIndex(3, 2), theta, phi)
         b = asymptotic_F(beam50, ModeIndex(3, 2), theta, phi + math.pi)
         assert a == pytest.approx(b, rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("mode", [(3, 2), (2, 3), (1, 1)])
+    def test_accurate_next_to_the_nodes_at_quarter_turns(self, beam50, mode):
+        # at phi = +-pi/2 (+-pi, 0) the odd Hermite factor of cos(phi) (sin(phi)) sits at its
+        # node; the relative accuracy of cos(phi) there is what keeps F within the allowance
+        offsets = np.array([1e-5, 3e-5, 1e-4, 3e-4, 1e-3])
+        centres = np.array([-np.pi, -0.5 * np.pi, 0.0, 0.5 * np.pi, np.pi])
+        phi = (centres[:, None] + np.concatenate([-offsets, offsets])).ravel()
+        phi = np.concatenate([phi, phi + 2.0 * np.pi, phi - 6.0 * np.pi])
+        theta = np.linspace(0.005, 0.2, 40)[:, None]
+        got = asymptotic_F(beam50, ModeIndex(*mode), theta, phi)
+        want, allowed = angular_reference(beam50.k, beam50.w0, *mode, theta, phi)
+        assert np.all(np.abs(got - want) <= allowed)
 
 
 class TestSurfaceCorrespondence:
