@@ -9,6 +9,7 @@ verification engine, and a CLI for grid exports and verification runs.
 __version__ = "0.1.0"
 
 from .beam import (
+    FAMILIES,
     BeamParams,
     ModeIndex,
     SpaceTimePoint,
@@ -16,11 +17,9 @@ from .beam import (
     bateman_gaussian_psi,
     envelope_phi,
     exact_psi,
-    field_function,
     gouy_phase,
     normalization_constant,
     paraxial_psi,
-    paraxial_schrodinger_psi,
     spot_radius,
 )
 from .constraint import (
@@ -37,7 +36,6 @@ from .constraint import (
 from .errors import (
     BranchCutWarning,
     ConfigError,
-    ConstraintViolationError,
     GouyPathError,
     NumericOverflowError,
     QuadratureConvergenceError,
@@ -78,8 +76,8 @@ __all__ = [
     "BranchCutWarning",
     "ConfigError",
     "ConstraintKind",
-    "ConstraintViolationError",
     "EXACT_FE",
+    "FAMILIES",
     "FieldGrid",
     "GouyFitReport",
     "GouyPathError",
@@ -106,7 +104,6 @@ __all__ = [
     "envelope_phi",
     "eval_constraint",
     "exact_psi",
-    "field_function",
     "first_derivative",
     "fit_gouy",
     "gouy_phase",
@@ -115,7 +112,6 @@ __all__ = [
     "hermite_ridge_offset",
     "normalization_constant",
     "paraxial_psi",
-    "paraxial_schrodinger_psi",
     "residual_convergence_sweep",
     "residual_full_wave",
     "residual_reduced",

@@ -15,6 +15,11 @@ longitudinal coordinate enters:
 * rational Gaussian form: the (0,0) exact field written with rational
   complex prefactors instead of spot radius and Gouy factors.
 
+``FAMILIES`` declares each of them once, under the name a run
+configuration gives it ("exact", "paraxial", "alternate", "gaussian"):
+whether it takes a mode, its field and, where a caller needs it, its
+envelope.
+
 Every evaluator, here and in :mod:`exactbeam.constraint`, is an
 elementwise kernel that writes blocks of at most ``BLOCK_POINTS`` points
 (rows of the broadcast shape) of one preallocated output in place, so a
@@ -44,11 +49,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutWarning, ConstraintViolationError
+from .errors import BranchCutWarning
 from .numerics import hermite
 
 #: Library guard on the total transverse order m + n.
@@ -412,7 +418,7 @@ def _half_carrier(params: BeamParams, x3, t, shape):
     return _reduce_angle(half)
 
 
-def exact_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=None):
+def exact_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint):
     """Exact Hermite-Gaussian solution of the full wave equation.
 
     Psi_mn = Phi_mn(x1, x2, (x3 + v t)/2) * exp[i(k x3 - omega t)].
@@ -420,8 +426,7 @@ def exact_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=None)
     light rays, which is what promotes the paraxial profile to an exact
     solution.
     """
-    if c_mn is None:
-        c_mn = normalization_constant(params, mode)
+    c_mn = normalization_constant(params, mode)
     half_inv_lr = 0.5 / params.rayleigh_range
 
     def kernel(out, x1, x2, x3, t):
@@ -433,14 +438,13 @@ def exact_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=None)
     return _blockwise(kernel, p.x1, p.x2, p.x3, p.t, dtype=complex)
 
 
-def paraxial_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=None):
+def paraxial_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint):
     """Standard paraxial Hermite-Gaussian beam: envelope argument x3 instead of s.
 
     Coincides with :func:`exact_psi` exactly on the co-moving surface
     t = x3/v and differs elsewhere.
     """
-    if c_mn is None:
-        c_mn = normalization_constant(params, mode)
+    c_mn = normalization_constant(params, mode)
     inv_lr = 1.0 / params.rayleigh_range
 
     def kernel(out, x1, x2, x3, t):
@@ -448,26 +452,6 @@ def paraxial_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint, c_mn=No
         _hermite_gauss(out, params, mode, c_mn, x1, x2, u, _half_carrier(params, x3, t, out.shape))
 
     return _blockwise(kernel, p.x1, p.x2, p.x3, p.t, dtype=complex)
-
-
-def paraxial_schrodinger_psi(params: BeamParams, mode: ModeIndex, p: SpaceTimePoint,
-                             tolerance: float = 1e-9, c_mn=None):
-    """Schroedinger-form evaluation of the paraxial beam on t = x3/v.
-
-    The paraxial envelope equation is a free Schroedinger equation in the
-    transverse plane with x3 playing the role of time; its solution is
-    only identified with the beam field on the co-moving surface
-    t = x3/v. Points farther than ``tolerance * L_R`` (measured as
-    |x3 - v t|) from that surface are rejected.
-    """
-    gap = np.abs(np.asarray(p.x3) - params.v * np.asarray(p.t))
-    if np.any(gap > tolerance * params.rayleigh_range):
-        worst = float(np.max(gap))
-        raise ConstraintViolationError(
-            f"point lies off the t = x3/v surface by |x3 - v t| = {worst:.3e} "
-            f"(allowed {tolerance:.1e} * L_R = {tolerance * params.rayleigh_range:.3e})"
-        )
-    return paraxial_psi(params, mode, p, c_mn=c_mn)
 
 
 def _warn_near_branch_cut(lr, x1, x2, x3):
@@ -486,21 +470,20 @@ def _warn_near_branch_cut(lr, x1, x2, x3):
         )
 
 
-def alternate_exact_psi(params: BeamParams, p: SpaceTimePoint, scaled_amplitude=1.0):
+def alternate_exact_psi(params: BeamParams, p: SpaceTimePoint):
     """Second exact Gaussian solution: spherical wave from a complex source point.
 
     Evaluates (L_R/R) * exp[i k R - i omega t] for the complex distance
     R = sqrt(x1^2 + x2^2 + (x3 - i L_R)^2) from the displaced source, in
     the overflow-safe rescaled form
 
-        scaled_amplitude * (L_R/R) * exp[i k (R + i L_R)] * exp(-i omega t).
+        (L_R/R) * exp[i k (R + i L_R)] * exp(-i omega t).
 
-    The raw source-strength constant of the unscaled form is smaller by
-    exp(k*L_R), a factor that overflows double precision for realistic
-    beams (k*L_R is ~1e3 for optical parameters), so the product
-    ``scaled_amplitude = raw_constant * exp(k*L_R)`` is the user-facing
-    amplitude. For x3 > 0 the exponent ik(R + i L_R) has non-positive
-    real part, so the evaluation never overflows there.
+    It is the unscaled form times exp(k*L_R), a factor that overflows
+    double precision for realistic beams (k*L_R is ~1e3 for optical
+    parameters), so the field is evaluated and returned in the rescaled
+    form. For x3 > 0 the exponent ik(R + i L_R) has non-positive real
+    part, so the evaluation never overflows there.
 
     R is the principal root, taken in real arithmetic: with
     R^2 = A + iB, A = rho^2 + x3^2 - L_R^2, B = -2 L_R x3 and M = |R^2|,
@@ -542,7 +525,7 @@ def alternate_exact_psi(params: BeamParams, p: SpaceTimePoint, scaled_amplitude=
         amplitude = np.add(im, lr, out=big)
         amplitude *= -params.k
         np.exp(amplitude, out=amplitude)
-        amplitude *= np.divide(0.5 * scaled_amplitude * lr, modulus, out=modulus)
+        amplitude *= np.divide(0.5 * lr, modulus, out=modulus)
         half = np.multiply(re, 0.5 * params.k, out=half_a)
         half -= np.multiply(t, 0.5 * params.omega, out=half_b)
         _rotate(out, amplitude, half, (re, im))
@@ -550,7 +533,7 @@ def alternate_exact_psi(params: BeamParams, p: SpaceTimePoint, scaled_amplitude=
     return _blockwise(kernel, p.x1, p.x2, p.x3, p.t, dtype=complex)
 
 
-def bateman_gaussian_psi(params: BeamParams, p: SpaceTimePoint, c00=None):
+def bateman_gaussian_psi(params: BeamParams, p: SpaceTimePoint):
     """Exact (0,0) Gaussian field in rational form.
 
     C_00 * L_R / (L_R + i u/2) * exp[i k rho^2 / (u - 2 i L_R)]
@@ -563,8 +546,7 @@ def bateman_gaussian_psi(params: BeamParams, p: SpaceTimePoint, c00=None):
     w0/w(s) amplitude decay and the Gouy factor into one complex
     Lorentzian.
     """
-    if c00 is None:
-        c00 = normalization_constant(params, ModeIndex(0, 0))
+    c00 = normalization_constant(params, ModeIndex(0, 0))
     lr = params.rayleigh_range
     k = params.k
 
@@ -592,28 +574,41 @@ def bateman_gaussian_psi(params: BeamParams, p: SpaceTimePoint, c00=None):
 
 
 # ---------------------------------------------------------------------------
-# field family dispatch (verifier and CLI plumbing)
+# the field families
 # ---------------------------------------------------------------------------
 
-FIELD_FAMILIES = ("exact", "paraxial", "alternate", "gaussian")
 
+@dataclass(frozen=True)
+class Family:
+    """One solution family, as the verifier and the CLI see it.
 
-def field_function(family: str, params: BeamParams, mode: ModeIndex = None):
-    """Return ``psi(p: SpaceTimePoint) -> complex`` for a named solution family.
-
-    ``mode`` is required for the "exact" and "paraxial" families and
-    ignored by the single-mode "alternate" and "gaussian" ones.
+    ``psi(params, mode)`` returns ``field(p: SpaceTimePoint) -> complex``;
+    ``takes_mode`` says whether ``mode`` selects the transverse mode, and
+    single-mode families ignore it. ``envelope(params, mode)``, where
+    declared, returns u(x1, x2, x3, t) with psi = u * exp[i(k x3 - omega t)].
+    Both call the evaluators through this module's globals, so a patched
+    binding of an evaluator is what they reach.
     """
-    if family == "exact":
-        if mode is None:
-            raise ValueError("the exact family needs a mode index")
-        return lambda p: exact_psi(params, mode, p)
-    if family == "paraxial":
-        if mode is None:
-            raise ValueError("the paraxial family needs a mode index")
-        return lambda p: paraxial_psi(params, mode, p)
-    if family == "alternate":
-        return lambda p: alternate_exact_psi(params, p)
-    if family == "gaussian":
-        return lambda p: bateman_gaussian_psi(params, p)
-    raise ValueError(f"unknown field family {family!r}; choose from {FIELD_FAMILIES}")
+
+    takes_mode: bool
+    psi: Callable
+    envelope: Callable | None = None
+
+
+#: Every solution family by its configuration name, each declared once.
+FAMILIES = {
+    "exact": Family(
+        True,
+        lambda params, mode: lambda p: exact_psi(params, mode, p),
+        lambda params, mode: lambda x1, x2, x3, t: envelope_phi(
+            params, mode, x1, x2, 0.5 * (x3 + params.v * t)
+        ),
+    ),
+    "paraxial": Family(
+        True,
+        lambda params, mode: lambda p: paraxial_psi(params, mode, p),
+        lambda params, mode: lambda x1, x2, x3, t: envelope_phi(params, mode, x1, x2, x3),
+    ),
+    "alternate": Family(False, lambda params, mode: lambda p: alternate_exact_psi(params, p)),
+    "gaussian": Family(False, lambda params, mode: lambda p: bateman_gaussian_psi(params, p)),
+}

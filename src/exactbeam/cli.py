@@ -13,12 +13,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .beam import SpaceTimePoint, field_function
+from .beam import FAMILIES, SpaceTimePoint
 from .config import RunConfig, load_config
 from .constraint import asymptotic_F, constraint_time, density_D
 from .errors import (
     ConfigError,
-    ConstraintViolationError,
     GouyPathError,
     NumericOverflowError,
     QuadratureConvergenceError,
@@ -77,10 +76,7 @@ def _psi_point(config: RunConfig, coords: dict) -> SpaceTimePoint:
 def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
     params = config.beam
     mode = None
-    needs_mode = (config.quantity == "psi" and config.family in ("exact", "paraxial")) or (
-        config.quantity in ("density", "angular_limit")
-    )
-    if needs_mode:
+    if config.quantity != "psi" or FAMILIES[config.family].takes_mode:
         if len(config.modes) != 1:
             raise ConfigError(
                 f"field: this quantity/family needs exactly one mode, got {len(config.modes)}"
@@ -92,7 +88,7 @@ def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
     # intermediate overflow warnings would only duplicate it as noise
     with np.errstate(all="ignore"):
         if config.quantity == "psi":
-            values = field_function(config.family, params, mode)(_psi_point(config, coords))
+            values = FAMILIES[config.family].psi(params, mode)(_psi_point(config, coords))
         elif config.quantity == "density":
             missing = {"r", "theta", "phi"} - set(coords)
             if missing:
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, args.out)
         return _COMMANDS[args.command](config, args.out, args.format)
-    except (ConfigError, ConstraintViolationError, GouyPathError, UnsupportedOrderError) as exc:
+    except (ConfigError, GouyPathError, UnsupportedOrderError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # ArithmeticError covers NumericOverflowError and any stray OverflowError,

@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .beam import FIELD_FAMILIES, BeamParams, ModeIndex
+from .beam import FAMILIES, BeamParams, ModeIndex
 from .constraint import VARIANTS, ConstraintKind
 from .errors import ConfigError
 from .gridio import AxisSpec
@@ -267,7 +267,7 @@ def parse_config(doc: dict, *, natural_units: bool = False,
     modes = _parse_modes(doc)
 
     family = doc.get("family", "exact")
-    _require(family in FIELD_FAMILIES, f"family: unknown family {family!r}, choose from {FIELD_FAMILIES}")
+    _require(family in FAMILIES, f"family: unknown family {family!r}, choose from {tuple(FAMILIES)}")
     quantity = doc.get("quantity", "psi")
     _require(quantity in QUANTITIES, f"quantity: unknown quantity {quantity!r}, choose from {QUANTITIES}")
 

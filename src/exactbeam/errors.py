@@ -9,10 +9,6 @@ class QuadratureConvergenceError(RuntimeError):
     """A quadrature result did not stabilize under node refinement."""
 
 
-class ConstraintViolationError(ValueError):
-    """An evaluation point lies off the required space-time constraint surface."""
-
-
 class GouyPathError(ValueError):
     """On-axis phase extraction requested for a mode whose axis field vanishes."""
 

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__
 from .beam import (
+    FAMILIES,
     BeamParams,
     ModeIndex,
     SpaceTimePoint,
     alternate_exact_psi,
     envelope_phi,
     exact_psi,
-    field_function,
     normalization_constant,
     spot_radius,
 )
@@ -236,7 +236,7 @@ def default_wave_steps(params: BeamParams) -> dict:
 
 
 def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
-                       t_step=None, transverse_step=None, accuracy_order: int = 4,
+                       t_step=None, transverse_step=None,
                        equation: str = "full_wave_eq1") -> ResidualReport:
     """Max relative residual of the full wave equation over sample points.
 
@@ -262,16 +262,14 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
     mag = np.abs(psi)
     keep = mag >= NODE_FLOOR * mag.max()
 
-    tr = StencilSpec(transverse_step, accuracy_order)
+    tr = StencilSpec(transverse_step)
     d11 = second_derivative(lambda u: field(SpaceTimePoint(u, x2, x3, t)), x1, tr, psi)
     d22 = second_derivative(lambda u: field(SpaceTimePoint(x1, u, x3, t)), x2, tr, psi)
     d33 = second_derivative(
-        lambda u: field(SpaceTimePoint(x1, x2, u, t)), x3, StencilSpec(x3_step, accuracy_order),
-        psi,
+        lambda u: field(SpaceTimePoint(x1, x2, u, t)), x3, StencilSpec(x3_step), psi
     )
     dtt = second_derivative(
-        lambda u: field(SpaceTimePoint(x1, x2, x3, u)), t, StencilSpec(t_step, accuracy_order),
-        psi,
+        lambda u: field(SpaceTimePoint(x1, x2, x3, u)), t, StencilSpec(t_step), psi
     )
     operator = np.abs(d11 + d22 + d33 - dtt / params.v**2)
     residual = operator / (params.k**2 * mag)
@@ -290,7 +288,7 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
 
 
 def residual_convergence_sweep(params: BeamParams, field, points, *, base: float = 0.32,
-                               levels: int = 3, accuracy_order: int = 4):
+                               levels: int = 3):
     """Step-halving residual sequence establishing the stencil order.
 
     The base step puts ``k*h = base`` in the truncation-dominated
@@ -308,7 +306,6 @@ def residual_convergence_sweep(params: BeamParams, field, points, *, base: float
             x3_step=base * f / params.k,
             t_step=base * f / params.omega,
             transverse_step=1e-2 * f * params.w0,
-            accuracy_order=accuracy_order,
         )
         residuals.append(rep.max_relative_residual)
     orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(levels - 1)]
@@ -316,8 +313,7 @@ def residual_convergence_sweep(params: BeamParams, field, points, *, base: float
 
 
 def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=None,
-                     s_step=None, accuracy_order: int = 4,
-                     equation: str = "reduced_eq12") -> ResidualReport:
+                     s_step=None, equation: str = "reduced_eq12") -> ResidualReport:
     """Residual of the parabolic envelope equation d11 + d22 + 2ik d/ds = 0.
 
     ``envelope`` is either a ModeIndex (checks the exact-family
@@ -347,10 +343,10 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
     mag = np.abs(phi)
     keep = mag >= NODE_FLOOR * mag.max()
 
-    tr = StencilSpec(transverse_step, accuracy_order)
+    tr = StencilSpec(transverse_step)
     d11 = second_derivative(lambda u: envelope(u, x2, s), x1, tr, phi)
     d22 = second_derivative(lambda u: envelope(x1, u, s), x2, tr, phi)
-    ds = first_derivative(lambda u: envelope(x1, x2, u), s, StencilSpec(s_step, accuracy_order))
+    ds = first_derivative(lambda u: envelope(x1, x2, u), s, StencilSpec(s_step))
     operator = np.abs(d11 + d22 + 2j * params.k * ds)
     residual = operator / (params.k**2 * mag)
 
@@ -372,7 +368,7 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
 
 
 def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, x3_step=None,
-                   t_step=None, accuracy_order: int = 4, envelope=None):
+                   t_step=None, envelope=None):
     """Check first- and second-derivative interchange of x3 and v*t.
 
     The exact envelope depends on (x3, t) only through s = (x3+v*t)/2,
@@ -388,16 +384,14 @@ def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, x3_step=None,
     stencils never sample identical s values.
     """
     if envelope is None:
-        envelope = lambda x1, x2, x3, t: envelope_phi(
-            params, mode, x1, x2, 0.5 * (x3 + params.v * t)
-        )
+        envelope = FAMILIES["exact"].envelope(params, mode)
     lr = params.rayleigh_range
     x3_step = 1e-3 * lr if x3_step is None else x3_step
     t_step = 1.5e-3 * lr / params.v if t_step is None else t_step
 
     x1, x2, x3, t = _point_arrays(points)
-    sx = StencilSpec(x3_step, accuracy_order)
-    st = StencilSpec(t_step, accuracy_order)
+    sx = StencilSpec(x3_step)
+    st = StencilSpec(t_step)
 
     def mismatch(equation, normalization, a, b):
         gap = np.abs(a - b)
@@ -777,11 +771,6 @@ def correspondence_check(params: BeamParams, options: dict) -> tuple[dict, bool]
 GRAM_MODES = tuple(ModeIndex(m, n) for m in range(3) for n in range(3))
 
 
-def _static_envelope(params: BeamParams, mode: ModeIndex):
-    """Mutant: an envelope of x3 alone, blind to t."""
-    return lambda x1, x2, x3, t: envelope_phi(params, mode, x1, x2, x3)
-
-
 def _waist_envelope(params: BeamParams, mode: ModeIndex):
     """Mutant: the envelope with the axial phase law of a waist 1% too wide."""
     lr_bad = 0.5 * params.k * (1.01 * params.w0) ** 2
@@ -800,17 +789,17 @@ def _residual_suite(config, rng, tol, mutant):
     count = config.verify_options["points"]
     points = sample_points(params, count, rng)
     exact_reports = [
-        residual_full_wave(params, field_function("exact", params, mode), points)
+        residual_full_wave(params, FAMILIES["exact"].psi(params, mode), points)
         for mode in config.modes
     ]
     worst_exact = max(r.max_relative_residual for r in exact_reports)
     worst_peak = max(r.max_peak_residual for r in exact_reports)
 
     forward = sample_points(params, count, rng, x3_range=(0.2, 3.0), spread_with="x3")
-    alt_report = residual_full_wave(params, field_function("alternate", params), forward)
+    alt_report = residual_full_wave(params, FAMILIES["alternate"].psi(params, None), forward)
 
     par_reports = [
-        residual_full_wave(params, field_function("paraxial", params, mode), points)
+        residual_full_wave(params, FAMILIES["paraxial"].psi(params, mode), points)
         for mode in config.modes
     ]
     worst_par = max(r.max_relative_residual for r in par_reports)
@@ -950,7 +939,7 @@ SUITES = {
                                         "paraxial_ratio_min": 1e3}),
     "reduced": Suite(_reduced_suite, {"reduced": 1e-6}, {"gouy_w0_1pct": _waist_envelope}),
     "symmetry": Suite(_symmetry_suite, {"symmetry": 1e-7},
-                      {"t_independent_envelope": _static_envelope}),
+                      {"t_independent_envelope": FAMILIES["paraxial"].envelope}),
     "gram": Suite(_gram_suite, {"gram_off_diagonal": 1e-9, "gram_diagonal": 1e-9}),
     "normalization": Suite(_normalization_suite, {"normalization_rel": 1e-10}),
     "gouy": Suite(_gouy_suite, {"gouy_amplitude": 1e-6, "gouy_scale_rel": 1e-6,

@@ -68,15 +68,11 @@ def psi_mpmath(k, w0, v, m, n, x1, x2, x3, t, envelope_arg="exact", dps=40) -> c
         return complex(value)
 
 
-def alternate_term_by_term(k, w0, v, x1, x2, x3, t, scaled_amplitude=1.0) -> complex:
+def alternate_term_by_term(k, w0, v, x1, x2, x3, t) -> complex:
     """Complex-source spherical wave in the rescaled parameterization, via cmath."""
     lr = 0.5 * k * w0 * w0
     radius = cmath.sqrt(x1 * x1 + x2 * x2 + complex(x3, -lr) ** 2)
-    return (
-        scaled_amplitude
-        * (lr / radius)
-        * cmath.exp(1j * k * (radius + 1j * lr) - 1j * (k * v) * t)
-    )
+    return (lr / radius) * cmath.exp(1j * k * (radius + 1j * lr) - 1j * (k * v) * t)
 
 
 def mollified_time_integral(params, integrand, kind, x1, x2, x3, sigma_t,

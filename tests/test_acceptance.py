@@ -15,6 +15,7 @@ import pytest
 
 from exactbeam import (
     EXACT_FE,
+    FAMILIES,
     PARAXIAL_FP,
     BeamParams,
     ModeIndex,
@@ -29,7 +30,6 @@ from exactbeam import (
     envelope_phi,
     eval_constraint,
     exact_psi,
-    field_function,
     fit_gouy,
     gouy_phase_samples,
     normalization_constant,
@@ -59,11 +59,11 @@ def test_criterion_01_exact_family_satisfies_full_wave_equation():
     for m in range(7):
         for n in range(7 - m):
             rep = residual_full_wave(
-                BEAM, field_function("exact", BEAM, ModeIndex(m, n)), points
+                BEAM, FAMILIES["exact"].psi(BEAM, ModeIndex(m, n)), points
             )
             worst = max(worst, rep.max_relative_residual)
     _, orders = residual_convergence_sweep(
-        BEAM, field_function("exact", BEAM, ModeIndex(0, 0)), sample_points(BEAM, 20, rng)
+        BEAM, FAMILIES["exact"].psi(BEAM, ModeIndex(0, 0)), sample_points(BEAM, 20, rng)
     )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and all(o >= 3.4 for o in orders) and elapsed <= 30.0
@@ -75,7 +75,7 @@ def test_criterion_01_exact_family_satisfies_full_wave_equation():
 def test_criterion_02_complex_source_solution_satisfies_full_wave_equation():
     rng = np.random.default_rng(2)
     points = sample_points(BEAM, 200, rng, x3_range=(0.2, 3.0), spread_with="x3")
-    rep = residual_full_wave(BEAM, field_function("alternate", BEAM), points)
+    rep = residual_full_wave(BEAM, FAMILIES["alternate"].psi(BEAM, None), points)
     ok = rep.max_relative_residual <= 1e-6
     assert report(2, "complex-source solution satisfies the full wave equation", ok), (
         f"residual {rep.max_relative_residual:.3e}"
@@ -87,12 +87,12 @@ def test_criterion_03_paraxial_family_fails_by_a_large_margin():
     points = sample_points(BEAM, 200, rng)
     modes = (ModeIndex(0, 0), ModeIndex(2, 1))
     exact = max(
-        residual_full_wave(BEAM, field_function("exact", BEAM, m), points).max_relative_residual
+        residual_full_wave(BEAM, FAMILIES["exact"].psi(BEAM, m), points).max_relative_residual
         for m in modes
     )
     par = max(
         residual_full_wave(
-            BEAM, field_function("paraxial", BEAM, m), points, equation="paraxial_eq3"
+            BEAM, FAMILIES["paraxial"].psi(BEAM, m), points, equation="paraxial_eq3"
         ).max_relative_residual
         for m in modes
     )

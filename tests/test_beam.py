@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -8,22 +9,23 @@ import pytest
 
 from exactbeam import beam
 from exactbeam import (
+    FAMILIES,
     BeamParams,
     BranchCutWarning,
-    ConstraintViolationError,
+    ConfigError,
     ModeIndex,
     SpaceTimePoint,
     alternate_exact_psi,
     bateman_gaussian_psi,
     envelope_phi,
     exact_psi,
-    field_function,
     gouy_phase,
     normalization_constant,
     paraxial_psi,
-    paraxial_schrodinger_psi,
     spot_radius,
 )
+from exactbeam.cli import main
+from exactbeam.config import parse_config
 from exactbeam.constraint import asymptotic_F, density_D
 from exactbeam.numerics import hermite
 from oracle_tools import (alternate_reference, alternate_term_by_term, angular_reference,
@@ -238,26 +240,6 @@ class TestParaxialPsi:
         )
 
 
-class TestSchrodingerForm:
-    def test_on_constraint_matches_paraxial(self, beam50):
-        p = SpaceTimePoint(0.4, 0.2, 30.0, 30.0 / beam50.v)
-        assert paraxial_schrodinger_psi(beam50, ModeIndex(1, 1), p) == paraxial_psi(
-            beam50, ModeIndex(1, 1), p
-        )
-
-    def test_off_constraint_rejected(self, beam50):
-        p = SpaceTimePoint(0.4, 0.2, 30.0, 0.0)
-        with pytest.raises(ConstraintViolationError):
-            paraxial_schrodinger_psi(beam50, ModeIndex(1, 1), p)
-
-    def test_tolerance_scales_with_rayleigh_range(self, beam50):
-        gap = 1e-3 * beam50.rayleigh_range
-        p = SpaceTimePoint(0.0, 0.0, 30.0, (30.0 - gap) / beam50.v)
-        paraxial_schrodinger_psi(beam50, ModeIndex(0, 0), p, tolerance=1e-2)
-        with pytest.raises(ConstraintViolationError):
-            paraxial_schrodinger_psi(beam50, ModeIndex(0, 0), p, tolerance=1e-4)
-
-
 class TestAlternateExact:
     def test_on_axis_collapse(self, beam50):
         lr = beam50.rayleigh_range
@@ -394,19 +376,49 @@ class TestRationalGaussianForm:
         assert got == pytest.approx(c00 * lr / abs(lr + 1j * s), rel=1e-14)
 
 
-class TestFieldDispatch:
-    def test_families(self, beam50):
-        p = SpaceTimePoint(0.1, 0.2, 10.0, 5.0)
-        assert field_function("exact", beam50, ModeIndex(0, 0))(p) == exact_psi(
-            beam50, ModeIndex(0, 0), p
-        )
-        assert field_function("alternate", beam50)(p) == alternate_exact_psi(beam50, p)
+#: Each family's evaluator, called directly.
+DIRECT_EVALUATORS = {
+    "exact": lambda params, mode, p: exact_psi(params, mode, p),
+    "paraxial": lambda params, mode, p: paraxial_psi(params, mode, p),
+    "alternate": lambda params, mode, p: alternate_exact_psi(params, p),
+    "gaussian": lambda params, mode, p: bateman_gaussian_psi(params, p),
+}
 
-    def test_errors(self, beam50):
-        with pytest.raises(ValueError):
-            field_function("exact", beam50)
-        with pytest.raises(ValueError):
-            field_function("bessel", beam50, ModeIndex(0, 0))
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_declaration(beam50, tmp_path, name):
+    family = FAMILIES[name]
+    mode = ModeIndex(2, 1) if family.takes_mode else None
+    rng = np.random.default_rng(24)
+    lr = beam50.rayleigh_range
+    x1, x2 = rng.uniform(-2.0, 2.0, (2, 200))
+    x3 = rng.uniform(0.2, 3.0, 200) * lr  # ahead of the complex source's branch cut
+    t = rng.uniform(-3.0, 3.0, 200) * lr
+    p = SpaceTimePoint(x1, x2, x3, t)
+    psi = family.psi(beam50, mode)(p)
+    assert psi.tobytes() == DIRECT_EVALUATORS[name](beam50, mode, p).tobytes()
+
+    if family.envelope is not None:
+        u = family.envelope(beam50, mode)(x1, x2, x3, t)
+        carrier = np.exp(1j * (beam50.k * x3 - beam50.omega * t))
+        eps = np.finfo(float).eps
+        allowed = 1e-12 + 4.0 * eps * (np.abs(beam50.k * x3) + np.abs(beam50.omega * t))
+        assert np.all(np.abs(psi - u * carrier) <= allowed * np.abs(psi).max())
+
+    assert parse_config({"beam": {"k": 50}, "family": name}).family == name
+    with pytest.raises(ConfigError) as err:
+        parse_config({"beam": {"k": 50}, "family": name.upper()})
+    assert str(err.value) == (f"family: unknown family {name.upper()!r}, choose from "
+                              "('exact', 'paraxial', 'alternate', 'gaussian')")
+
+    doc = {"beam": {"k": 50}, "modes": [], "family": name,
+           "grid": {"axes": [{"name": "x1", "min": -1.0, "max": 1.0, "count": 3}],
+                    "fixed": {"x3": 10.0, "t": 10.0}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["field", "--config", str(path), "--out", str(tmp_path / "f.csv"),
+               "--natural-units"])
+    assert rc == (2 if family.takes_mode else 0)
 
 
 def _forward(x3, lr):

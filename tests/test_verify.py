@@ -9,6 +9,7 @@ import pytest
 
 import exactbeam
 from exactbeam import (
+    FAMILIES,
     AlternateComparisonReport,
     BeamParams,
     GouyPathError,
@@ -26,7 +27,6 @@ from exactbeam import (
     default_wave_steps,
     envelope_phi,
     exact_psi,
-    field_function,
     fit_gouy,
     gouy_phase_samples,
     hermite,
@@ -105,7 +105,7 @@ class TestFullWaveResidual:
     def test_exact_family(self, beam50, rng):
         for mode in (ModeIndex(0, 0), ModeIndex(2, 1)):
             rep = residual_full_wave(
-                beam50, field_function("exact", beam50, mode), sample_points(beam50, 60, rng)
+                beam50, FAMILIES["exact"].psi(beam50, mode), sample_points(beam50, 60, rng)
             )
             assert rep.equation == "full_wave_eq1"
             assert rep.max_relative_residual <= 1e-6
@@ -113,12 +113,12 @@ class TestFullWaveResidual:
 
     def test_alternate_family(self, beam50, rng):
         pts = sample_points(beam50, 60, rng, x3_range=(0.2, 3.0), spread_with="x3")
-        rep = residual_full_wave(beam50, field_function("alternate", beam50), pts)
+        rep = residual_full_wave(beam50, FAMILIES["alternate"].psi(beam50, None), pts)
         assert rep.max_relative_residual <= 1e-6
 
     def test_rational_gaussian_family(self, beam50, rng):
         rep = residual_full_wave(
-            beam50, field_function("gaussian", beam50), sample_points(beam50, 60, rng)
+            beam50, FAMILIES["gaussian"].psi(beam50, None), sample_points(beam50, 60, rng)
         )
         assert rep.max_relative_residual <= 1e-6
 
@@ -126,11 +126,11 @@ class TestFullWaveResidual:
         pts = sample_points(beam50, 200, rng)
         rep = residual_full_wave(
             beam50,
-            field_function("paraxial", beam50, ModeIndex(2, 1)),
+            FAMILIES["paraxial"].psi(beam50, ModeIndex(2, 1)),
             pts,
             equation="paraxial_eq3",
         )
-        exact = residual_full_wave(beam50, field_function("exact", beam50, ModeIndex(2, 1)), pts)
+        exact = residual_full_wave(beam50, FAMILIES["exact"].psi(beam50, ModeIndex(2, 1)), pts)
         assert rep.equation == "paraxial_eq3"
         assert rep.max_relative_residual >= 1e-5
         assert rep.max_relative_residual >= 1e3 * exact.max_relative_residual
@@ -140,7 +140,8 @@ class TestFullWaveResidual:
         x1 = np.array([0.0, 0.5, 0.0, 0.8])
         pts = SpaceTimePoint(x1, 0.2, 0.7 * lr, 0.3 * lr / beam50.v)
         with np.errstate(invalid="ignore", divide="ignore"):
-            rep = residual_full_wave(beam50, field_function("exact", beam50, ModeIndex(1, 0)), pts)
+            rep = residual_full_wave(beam50, FAMILIES["exact"].psi(beam50, ModeIndex(1, 0)),
+                                     pts)
         assert rep.skipped_points == 2
         assert rep.point_count == 2
         assert rep.max_relative_residual <= 1e-6
@@ -158,7 +159,7 @@ class TestFullWaveResidual:
 class TestConvergenceSweep:
     def test_fourth_order_stencil(self, beam50, rng):
         residuals, orders = residual_convergence_sweep(
-            beam50, field_function("exact", beam50, ModeIndex(0, 0)),
+            beam50, FAMILIES["exact"].psi(beam50, ModeIndex(0, 0)),
             sample_points(beam50, 20, rng),
         )
         assert residuals[0] > residuals[1] > residuals[2]
