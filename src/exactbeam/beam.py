@@ -23,14 +23,20 @@ envelope.
 Every evaluator, here and in :mod:`exactbeam.constraint`, is an
 elementwise kernel that writes blocks of at most ``BLOCK_POINTS`` points
 (rows of the broadcast shape) of one preallocated output in place, so a
-call holds its output plus a few cache-sized block temporaries: exact_psi
-on 1e6 points peaks at about 17.3 MB, of which the output is 16 MB. The
-kernels work in real arithmetic on reused buffers, with their scalar
-factors folded into one multiply:
+call holds its output plus a few block temporaries per thread. An output
+of at least two blocks per usable CPU is filled on min(usable CPUs,
+blocks // 2) threads (``_threads.run_blocks``), each taking the next
+block when it finishes one; smaller outputs, such as every call of
+``beam verify``, are filled in the calling thread. The bits do not depend
+on the thread count. exact_psi on 1e6 points peaks at about 18.5 MB on
+one thread and 20.2 MB on two, of which the output is 16 MB. The kernels
+work in real arithmetic on reused buffers, with their scalar factors
+folded into one multiply:
 
 * the Hermite-Gaussian kernel shared by ``envelope_phi``, ``exact_psi``
   and ``paraxial_psi`` forms xi and the Gaussian exponent from one
-  h = 1/(2 w^2), and runs the Hermite recurrence only from order 2;
+  h = 1/(2 w^2), and calls :func:`exactbeam.numerics.hermite` only from
+  order 2;
 * the carrier phase k*x3 - omega*t is rounded once, halved exactly and
   reduced by the nearest multiple of pi before the envelope phase is
   added, so their sum rounds at the scale of pi;
@@ -54,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import run_blocks
 from .errors import BranchCutWarning
 from .numerics import hermite
 
@@ -64,12 +71,18 @@ MAX_MODE_SUM = 20
 #: displaced-source complex radius get a BranchCutWarning.
 BRANCH_CUT_TOL = 1e-6
 
-#: Points per block of the elementwise field kernels: each float64
-#: temporary of a block is 128 KiB, so a block's working set stays in
-#: the L2 cache and a call holds a few blocks of temporaries beside its
-#: output. That is exactly glibc's default mmap threshold, so each would be a
-#: fresh mmap; hence the CLI's allocator policy (``cli._keep_freed_memory``).
-BLOCK_POINTS = 16_384
+#: Points per block of the elementwise field kernels. A kernel holds about
+#: a dozen float64 temporaries of 192 KiB per block, so a call holds its
+#: output plus that per thread. On 2 vCPUs, two threads filling 1e6 points
+#: summed 173-242 ns/point over the nine benchmarked evaluators with this
+#: block, 166-233 with 32,768 points and 216-262 with 16,384: with blocks
+#: that small each ufunc of a few microseconds hands the interpreter lock
+#: over, which eats the second thread's gain, while larger blocks cost
+#: more in one thread and add memory per thread. A 20,001-point call, the
+#: largest of ``beam verify``, is one block. The temporaries are above
+#: glibc's default mmap threshold, so each would be a fresh mmap; hence the
+#: CLI's allocator policy (``cli._keep_freed_memory``).
+BLOCK_POINTS = 24_576
 
 #: pi in two parts for the reductions of ``_reduce_angle``: the first has 24
 #: significant bits, so n times it is exact for |n| < 2**29, and the second is the
@@ -229,16 +242,17 @@ def _leading(c, ndim, index):
     return c[index]
 
 
-def _fill(out, kernel, coords):
+def _blocks(out, coords):
+    """(output block, its inputs) for every block of at most BLOCK_POINTS points, in order."""
     row = out.size // out.shape[0]
     if row > BLOCK_POINTS:
         for i in range(out.shape[0]):
-            _fill(out[i], kernel, [_leading(c, out.ndim, i) for c in coords])
+            yield from _blocks(out[i], [_leading(c, out.ndim, i) for c in coords])
         return
     rows = BLOCK_POINTS // row
     for start in range(0, out.shape[0], rows):
         block = slice(start, start + rows)
-        kernel(out[block], *(_leading(c, out.ndim, block) for c in coords))
+        yield (out[block], *(_leading(c, out.ndim, block) for c in coords))
 
 
 def _blockwise(kernel, *coords, dtype):
@@ -250,7 +264,10 @@ def _blockwise(kernel, *coords, dtype):
     Inputs that span that axis are sliced, broadcast ones are passed
     through as they are, so scalars and (n, 1) x (1, n) grids keep
     working. An output of at most one block is filled in one call;
-    0-d input is evaluated as one point and gives a numpy scalar.
+    0-d input is evaluated as one point and gives a numpy scalar. The
+    blocks go to ``_threads.run_blocks``, which fills an output of two
+    or more blocks per usable CPU on several threads; each block is
+    computed alone, so the bits do not depend on the thread count.
     """
     coords = [np.asarray(c, dtype=float) for c in coords]
     out = np.empty(np.broadcast_shapes(*(c.shape for c in coords)), dtype=dtype)
@@ -260,7 +277,7 @@ def _blockwise(kernel, *coords, dtype):
     if out.size <= BLOCK_POINTS:
         kernel(out, *coords)
         return out
-    _fill(out, kernel, coords)
+    run_blocks(kernel, list(_blocks(out, coords)))
     return out
 
 
@@ -323,7 +340,7 @@ def _reduce_angle(angle, period=np.pi, offset=0.0):
 def _hermite_pair(m, n, x1, x2, root):
     """H_m(x1 root) H_n(x2 root) on a block, or None for m = n = 0.
 
-    Orders 0 and 1 run no recurrence (H_0 = 1, H_1 = 2 xi); higher
+    Orders 0 and 1 need no product over zeros (H_0 = 1, H_1 = 2 xi); higher
     orders call :func:`exactbeam.numerics.hermite`.
     """
     product = None

@@ -2,7 +2,7 @@
 
 
 class UnsupportedOrderError(ValueError):
-    """Hermite order outside the range the recurrence supports at double precision."""
+    """Hermite order that is not a non-negative integer up to MAX_HERMITE_ORDER."""
 
 
 class QuadratureConvergenceError(RuntimeError):

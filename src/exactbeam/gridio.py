@@ -21,24 +21,26 @@ out the rows. Each axis's values are encoded once and gathered per row.
 The encoder is imported by the writers, not with this module, so that
 commands that write no grid do not load it.
 
-An output of more than one chunk is formatted by a pool of up to one
-thread per usable CPU. The encoder's numpy work releases the interpreter
-lock, the threads read the caller's arrays in place, and the caller
-writes the returned bytes in chunk order, so the file does not depend on
-the CPU count. At most two chunks per thread are in flight, so memory
-stays bounded whatever the grid size. A one-chunk output or a single
-usable CPU keeps all formatting in the calling thread.
+The chunks are formatted on min(usable CPUs, chunks // 2) threads, the
+rule of ``_threads.worker_count`` that the field evaluators' fill shares.
+The encoder's numpy work releases the interpreter lock, the threads read
+the caller's arrays in place, and the caller writes the returned bytes in
+chunk order, so the file does not depend on the CPU count. At most two
+chunks per thread are in flight, so memory stays bounded whatever the
+grid size. An output of fewer than four chunks (the 20,001-row gouy CSV
+has two) or a single usable CPU keeps all formatting in the calling
+thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import worker_count
 from .errors import ConfigError
 
 FORMAT_VERSION = 1
@@ -107,24 +109,17 @@ def _meta_doc(grid: FieldGrid) -> dict:
     }
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, or the machine's count
-    where the platform has no ``os.sched_getaffinity``."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _write_chunks(fh, render, count: int) -> None:
     """Write ``render(start, stop)`` for the ``_floattext.BLOCK`` ranges of [0, count), in order.
 
-    ``render`` returns the encoded bytes of items [start, stop). It runs in
-    a thread pool when there is more than one chunk and more than one usable
-    CPU, and in the calling thread otherwise.
+    ``render`` returns the encoded bytes of items [start, stop). It runs on
+    ``_threads.worker_count`` threads, in the calling thread when that is
+    below two.
     """
     from ._floattext import BLOCK
 
     ranges = [(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK)]
-    workers = min(_usable_cpus(), len(ranges))
+    workers = worker_count(len(ranges))
     if workers < 2:
         for start, stop in ranges:
             fh.write(render(start, stop))

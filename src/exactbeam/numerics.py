@@ -7,22 +7,32 @@ safe to call from parallel sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import UnsupportedOrderError
 
-#: Highest Hermite order the three-term recurrence is allowed to reach.
-#: Beyond this the coefficients grow enough that double precision degrades.
+#: Highest supported Hermite order; the accuracy of ``hermite`` is tested up to it.
 MAX_HERMITE_ORDER = 60
+
+
+@lru_cache(maxsize=None)
+def _doubled_zeros(order: int) -> tuple:
+    """2 z_j for the positive zeros z_j of H_order, from the Gauss-Hermite rule."""
+    zeros = np.polynomial.hermite.hermgauss(order)[0] if order else ()
+    return tuple(2.0 * z for z in zeros[(order + 1) // 2:])
 
 
 def hermite(order: int, x):
     """Physicists' Hermite polynomial H_order(x).
 
-    Evaluated with the three-term recurrence
-    ``H_{k+1}(x) = 2 x H_k(x) - 2 k H_{k-1}(x)`` seeded by H_1(x) = 2x and
-    H_2(x) = (2x)^2 - 2, updating two buffers in place.
+    Evaluated as a product over the zeros,
+    ``H_n(x) = (2x)^(n mod 2) * prod_j (2x - 2z_j)(2x + 2z_j)`` over the
+    positive zeros z_j of H_n (cached per order), a running product
+    updated in place. Each factor keeps its relative accuracy next to
+    its zero, the product is within a few ulps of the sum of the terms'
+    moduli of the exact value, and +-inf gives +-inf.
 
     Parameters
     ----------
@@ -44,20 +54,20 @@ def hermite(order: int, x):
             f"Hermite order {order} exceeds the supported maximum {MAX_HERMITE_ORDER}"
         )
     x = np.asarray(x, dtype=float)
-    if order == 0:
-        h = np.ones_like(x)
+    two_x = 2.0 * x
+    zeros = _doubled_zeros(order)
+    factor = np.empty_like(two_x)
+    if order % 2:
+        h = two_x.copy()
+    elif zeros:
+        h = np.subtract(two_x, zeros[0])
+        h *= np.add(two_x, zeros[0], out=factor)
+        zeros = zeros[1:]
     else:
-        h = two_x = 2.0 * x
-    if order > 1:
-        h_prev, h = two_x.copy(), np.multiply(two_x, two_x)
-        h -= 2.0
-        term = np.empty_like(h)
-        for k in range(2, order):
-            # h_prev <- 2x h - 2k h_prev, in place: the same two roundings
-            # as the out-of-place form, since a - b is a + (-b) in IEEE 754
-            h_prev *= -2.0 * k
-            h_prev += np.multiply(two_x, h, out=term)
-            h_prev, h = h, h_prev
+        h = np.ones_like(x)
+    for z in zeros:
+        h *= np.subtract(two_x, z, out=factor)
+        h *= np.add(two_x, z, out=factor)
     if x.ndim == 0:
         return float(h)
     return h

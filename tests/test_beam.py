@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from exactbeam import beam
+from exactbeam import _threads, beam
 from exactbeam import (
     FAMILIES,
     BeamParams,
@@ -468,15 +469,18 @@ class TestBlocking:
                                       "scalars", "zero_d"])
     @pytest.mark.parametrize("name", sorted(BLOCKED_EVALUATORS))
     def test_bit_identical_to_one_block(self, beam50, monkeypatch, name, case, block):
+        """The same bits in one block as in small blocks filled on 1, 2 and 3 threads."""
         evaluate = BLOCKED_EVALUATORS[name]
         coords = _coordinate_cases(beam50.rayleigh_range)[case]
         monkeypatch.setattr(beam, "BLOCK_POINTS", 10**9)
         whole = evaluate(beam50, *coords)
         monkeypatch.setattr(beam, "BLOCK_POINTS", block)
-        blocked = evaluate(beam50, *coords)
-        assert type(blocked) is type(whole)
-        assert np.shape(blocked) == np.shape(whole) == np.broadcast(*coords).shape
-        assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_threads, "usable_cpus", lambda: cpus)
+            blocked = evaluate(beam50, *coords)
+            assert type(blocked) is type(whole)
+            assert np.shape(blocked) == np.shape(whole) == np.broadcast(*coords).shape
+            assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes(), cpus
 
     @pytest.mark.parametrize("shape", [(1001,), (37, 23), (1, 301), (5, 7, 11), (3, 1, 50)])
     def test_kernel_sees_at_most_one_block(self, monkeypatch, shape):
@@ -509,6 +513,72 @@ class TestBlocking:
             tracemalloc.stop()
         assert values.nbytes == 16_000_000
         assert peak <= 24_000_000
+
+
+def _meet_every_thread(workers):
+    """A kernel wrapper that holds each thread's first block until ``workers`` threads
+    hold one, so that every thread of the fill takes a block."""
+    barrier, seen = threading.Barrier(workers), set()
+
+    def meet():
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait(timeout=30)
+
+    return meet
+
+
+class TestThreadedFill:
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        """Two usable CPUs and 10-point blocks: a 100-point call is 10 blocks on 2 threads."""
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(beam, "BLOCK_POINTS", 10)
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def test_fewer_than_two_blocks_per_cpu_stay_in_the_caller(self):
+        threads = set()
+
+        def kernel(out, x):
+            threads.add(threading.get_ident())
+            np.copyto(out, x)
+
+        beam._blockwise(kernel, np.arange(30.0), dtype=float)  # three blocks
+        assert threads == {threading.get_ident()}
+
+    def test_workers_see_the_callers_errstate(self):
+        meet = _meet_every_thread(2)
+
+        def kernel(out, x):
+            meet()
+            np.exp(x, out=out)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(all="ignore"):
+                values = beam._blockwise(kernel, np.full(100, 1e3), dtype=float)
+        assert np.all(values == np.inf)
+
+    def test_worker_exception_reaches_the_caller(self):
+        meet, caller = _meet_every_thread(2), threading.get_ident()
+
+        def kernel(out, x):
+            meet()
+            if threading.get_ident() != caller:
+                raise ValueError("kernel failed in a worker")
+            np.copyto(out, x)
+
+        with pytest.raises(ValueError, match="kernel failed in a worker"):
+            beam._blockwise(kernel, np.arange(100.0), dtype=float)
+
+    def test_nested_threaded_calls(self):
+        def kernel(out, x):
+            np.copyto(out, beam._blockwise(np.copyto, np.repeat(x, 5), dtype=float)[::5])
+
+        x = np.arange(100.0)
+        np.testing.assert_array_equal(beam._blockwise(kernel, x, dtype=float), x)
 
 
 class TestMpmathReference:

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from exactbeam import AxisSpec, ConfigError, FieldGrid, _floattext, gridio
+from exactbeam import AxisSpec, ConfigError, FieldGrid, _floattext, _threads, gridio
 from exactbeam.cli import main
 from exactbeam.gridio import FORMAT_VERSION, load, load_csv, load_json, save, save_csv, save_json
 
@@ -185,7 +185,7 @@ def _assert_same_bytes(grid, tmp_path):
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """Set the CPU count the writers see, and so their worker count."""
-    return lambda n: monkeypatch.setattr(gridio, "_usable_cpus", lambda: n)
+    return lambda n: monkeypatch.setattr(_threads, "usable_cpus", lambda: n)
 
 
 class TestGoldenBytes:
@@ -245,7 +245,7 @@ class TestGoldenBytes:
 
 
 class TestGoldenBytesForked(TestGoldenBytes):
-    """The same cases with every chunk formatted by one of two pool threads."""
+    """The same cases with two usable CPUs: two pool threads from four chunks on."""
 
     workers = 2
 
@@ -297,7 +297,7 @@ class TestCliCsvGoldenBytes:
 
 
 class TestCliCsvGoldenBytesForked(TestCliCsvGoldenBytes):
-    """The same CLI runs with every chunk formatted by one of two pool threads."""
+    """The same CLI runs with two usable CPUs, so their chunks go to two pool threads."""
 
     workers = 2
 
@@ -376,10 +376,11 @@ class TestWorkers:
         writer(_random_grid(rng, (5, 3)), tmp_path / "one")
         assert pools == []
 
-    @pytest.mark.parametrize("cpus, chunks, expected", [(8, 3, 3), (2, 3, 2), (1, 3, 0)])
+    @pytest.mark.parametrize("cpus, chunks, expected",
+                             [(8, 3, 0), (2, 4, 2), (8, 7, 3), (1, 3, 0), (1, 8, 0)])
     def test_worker_count(self, cpus, chunks, expected, rng, tmp_path, monkeypatch, pools,
                           usable_cpus):
-        """min(usable CPUs, chunks) threads; no pool with one CPU."""
+        """min(usable CPUs, chunks // 2) threads; no pool below two."""
         usable_cpus(cpus)
         monkeypatch.setattr(_floattext, "BLOCK", 5)
         save_csv(_random_grid(rng, (chunks * 5,)), tmp_path / "f.csv")
@@ -439,14 +440,14 @@ class TestWorkers:
 class TestUsableCpus:
     def test_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert gridio._usable_cpus() == 3
+        assert _threads.usable_cpus() == 3
 
     @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
     def test_without_affinity(self, count, expected, monkeypatch):
         """macOS and Windows have no sched_getaffinity: the machine's CPU count."""
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert gridio._usable_cpus() == expected
+        assert _threads.usable_cpus() == expected
 
 
 def test_direct_and_fallback_blocks_spell_alike(rng, tmp_path, monkeypatch):

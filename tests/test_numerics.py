@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from exactbeam import (
     second_derivative,
 )
 from exactbeam.verify import _hermite_rule
-from oracle_tools import hermite_series
+from oracle_tools import hermite_series, hermite_terms
 
 
 def _tensor_sum(f, node_count, width=math.sqrt(2.0)):
@@ -27,15 +28,28 @@ def _tensor_sum(f, node_count, width=math.sqrt(2.0)):
 
 
 def _hermite_out_of_place(order, x):
-    """The recurrence as it read before the in-place rewrite: the bit-level reference."""
+    """The product over the zeros without reused buffers: the bit-level reference."""
     x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    for k in range(order):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
+    zeros = np.polynomial.hermite.hermgauss(order)[0][(order + 1) // 2:] if order else []
+    h = 2.0 * x if order % 2 else np.ones_like(x)
+    for z in zeros:
+        h = h * (2.0 * x - 2.0 * z) * (2.0 * x + 2.0 * z)
     if x.ndim == 0:
         return float(h)
     return h
+
+
+def _hermite_recurrence(order, x):
+    """H_{k+1} = 2x H_k - 2k H_{k-1}: the evaluator the product over the zeros replaced."""
+    h_prev, h = np.zeros_like(x), np.ones_like(x)
+    for k in range(order):
+        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
+    return h
+
+
+def _hermite_points(rng):
+    return np.concatenate([[0.0, -0.0, 1e-300, -7.5, 30.0, np.inf, -np.inf, np.nan],
+                           rng.uniform(-12.0, 12.0, 201)])
 
 
 class TestHermite:
@@ -78,13 +92,30 @@ class TestHermite:
 
     @pytest.mark.parametrize("order", range(61))
     def test_in_place_recurrence_is_bit_identical(self, order, rng):
-        array = np.concatenate([[0.0, -0.0, 1e-300, -7.5, 30.0, np.inf, -np.inf, np.nan],
-                                rng.uniform(-12.0, 12.0, 201)])
-        with np.errstate(all="ignore"):
-            for x in (-0.7, np.array(2.25), array):
-                got, want = hermite(order, x), _hermite_out_of_place(order, x)
-                assert type(got) is type(want)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        """The running product over the zeros, updated in place, has the bits of its
+        out-of-place form."""
+        for x in (-0.7, np.array(2.25), _hermite_points(rng)):
+            got, want = hermite(order, x), _hermite_out_of_place(order, x)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("order", range(61))
+    def test_as_accurate_as_the_recurrence(self, order, rng):
+        """Against 50-digit mpmath, point by point: no further off than the three-term
+        recurrence plus one ulp of the sum of the terms' moduli per factor (at least 4);
+        +-inf gives +-inf."""
+        x = np.concatenate([[-0.7, 2.25], _hermite_points(rng)])
+        finite = np.isfinite(x)
+        with mpmath.workdps(50):
+            want = np.array([float(mpmath.hermite(order, mpmath.mpf(float(v))))
+                             for v in x[finite]])
+        got = hermite(order, x)
+        recurrence = _hermite_recurrence(order, x[finite])
+        scale = hermite_terms(order, x[finite])[1]
+        excess = np.abs(got[finite] - want) - np.abs(recurrence - want)
+        assert np.all(excess <= max(order, 4) * np.finfo(float).eps * scale)
+        at_inf = [np.inf, (-1.0) ** order * np.inf, np.nan] if order else [1.0, 1.0, 1.0]
+        np.testing.assert_array_equal(got[~finite], at_inf)
 
     def test_order_guard(self):
         assert np.isfinite(hermite(60, 8.0))
