@@ -25,11 +25,12 @@ elementwise kernel that writes blocks of at most ``BLOCK_POINTS`` points
 (rows of the broadcast shape) of one preallocated output in place, so a
 call holds its output plus a few block temporaries per thread. An output
 of at least two blocks per usable CPU is filled on min(usable CPUs,
-blocks // 2) threads (``_threads.run_blocks``), each taking the next
+blocks // 2, 3) threads (``_threads.run_blocks``), each taking the next
 block when it finishes one; smaller outputs, such as every call of
 ``beam verify``, are filled in the calling thread. The bits do not depend
 on the thread count. exact_psi on 1e6 points peaks at about 18.5 MB on
-one thread and 20.2 MB on two, of which the output is 16 MB. The kernels
+one thread, 20.3 MB on two and 22 MB on three, the most it ever uses, of
+which the output is 16 MB. The kernels
 work in real arithmetic on reused buffers, with their scalar factors
 folded into one multiply:
 
@@ -72,8 +73,8 @@ MAX_MODE_SUM = 20
 BRANCH_CUT_TOL = 1e-6
 
 #: Points per block of the elementwise field kernels. A kernel holds about
-#: a dozen float64 temporaries of 192 KiB per block, so a call holds its
-#: output plus that per thread. On 2 vCPUs, two threads filling 1e6 points
+#: ten float64 temporaries of 192 KiB per block, so a call holds its
+#: output plus that per thread (``_threads.MAX_THREADS`` at most). On 2 vCPUs, two threads filling 1e6 points
 #: summed 173-242 ns/point over the nine benchmarked evaluators with this
 #: block, 166-233 with 32,768 points and 216-262 with 16,384: with blocks
 #: that small each ufunc of a few microseconds hands the interpreter lock

@@ -21,8 +21,9 @@ out the rows. Each axis's values are encoded once and gathered per row.
 The encoder is imported by the writers, not with this module, so that
 commands that write no grid do not load it.
 
-The chunks are formatted on min(usable CPUs, chunks // 2) threads, the
-rule of ``_threads.worker_count`` that the field evaluators' fill shares.
+The chunks are formatted on min(usable CPUs, chunks // 2, 3) threads,
+the rule of ``_threads.worker_count`` that the field evaluators' fill
+shares.
 The encoder's numpy work releases the interpreter lock, the threads read
 the caller's arrays in place, and the caller writes the returned bytes in
 chunk order, so the file does not depend on the CPU count. At most two

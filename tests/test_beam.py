@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -514,6 +515,12 @@ class TestBlocking:
         assert values.nbytes == 16_000_000
         assert peak <= 24_000_000
 
+    @pytest.mark.parametrize("cpus", [4, 8, 64])
+    def test_memory_bound_whatever_the_cpu_count(self, beam50, monkeypatch, cpus):
+        """More usable CPUs than ``_threads.MAX_THREADS`` keep the peak of a 1e6-point call."""
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: cpus)
+        self.test_exact_psi_memory_bound(beam50)
+
 
 def _meet_every_thread(workers):
     """A kernel wrapper that holds each thread's first block until ``workers`` threads
@@ -572,6 +579,27 @@ class TestThreadedFill:
 
         with pytest.raises(ValueError, match="kernel failed in a worker"):
             beam._blockwise(kernel, np.arange(100.0), dtype=float)
+
+    def test_every_block_filled_once_under_fast_switching(self, monkeypatch):
+        """Three threads on a shared queue, switching every microsecond: no block is
+        lost or taken twice."""
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 3)
+        filled = []
+
+        def kernel(out, x):
+            filled.append(out.size)
+            np.copyto(out, x)
+
+        x = np.arange(1000.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                filled.clear()
+                np.testing.assert_array_equal(beam._blockwise(kernel, x, dtype=float), x)
+                assert sorted(filled) == [10] * 100
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_nested_threaded_calls(self):
         def kernel(out, x):

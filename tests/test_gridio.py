@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -189,20 +190,26 @@ def usable_cpus(monkeypatch):
 
 
 class TestGoldenBytes:
-    """In-process path: one usable CPU."""
+    """In-process path: one usable CPU. Every test writes one CSV and one JSON file."""
 
     workers = 1
+    #: copies of ``shape`` along the first axis in ``test_chunk_boundaries``
+    repeats = 1
 
     @pytest.fixture(autouse=True)
-    def _workers(self, usable_cpus):
+    def _workers(self, usable_cpus, pools):
+        """One usable CPU starts no pool; more start one of that size per file."""
         usable_cpus(self.workers)
+        yield
+        assert pools == ([self.workers] * 2 if self.workers > 1 else [])
 
     @pytest.mark.parametrize("shape", [(9,), (3, 5), (2, 3, 4)])
     @pytest.mark.parametrize("chunk_offset", [-1, 0, 1])
     def test_chunk_boundaries(self, shape, chunk_offset, rng, tmp_path, monkeypatch):
-        """Grids of chunk+1, chunk and chunk-1 points."""
-        grid = _random_grid(rng, shape)
-        monkeypatch.setattr(_floattext, "BLOCK", grid.values.size + chunk_offset)
+        """Chunks of one point more than, as many as and one point fewer than the
+        ``shape`` grid, over ``repeats`` copies of it."""
+        grid = _random_grid(rng, (self.repeats * shape[0], *shape[1:]))
+        monkeypatch.setattr(_floattext, "BLOCK", math.prod(shape) + chunk_offset)
         _assert_same_bytes(grid, tmp_path)
 
     @pytest.mark.parametrize("shape", [(40,), (7, 6), (3, 4, 5)])
@@ -211,7 +218,7 @@ class TestGoldenBytes:
         _assert_same_bytes(_random_grid(rng, shape), tmp_path)
 
     def test_default_chunk(self, rng, tmp_path):
-        _assert_same_bytes(_random_grid(rng, (_floattext.BLOCK + 3,)), tmp_path)
+        _assert_same_bytes(_random_grid(rng, (self.repeats * _floattext.BLOCK + 3,)), tmp_path)
 
     def test_signed_zero_and_non_finite(self, rng, tmp_path, monkeypatch):
         monkeypatch.setattr(_floattext, "BLOCK", 4)
@@ -239,15 +246,17 @@ class TestGoldenBytes:
         assert ("-0.0" in (tmp_path / "ours.json").read_text()) == (negative_zero is not None)
 
     def test_non_ascii_metadata(self, rng, tmp_path, monkeypatch):
-        monkeypatch.setattr(_floattext, "BLOCK", 5)
+        monkeypatch.setattr(_floattext, "BLOCK", 3)
         grid = _random_grid(rng, (4, 3), metadata={"note": "ψ(x₁) für Gouy", "mode": [0, 0]})
         _assert_same_bytes(grid, tmp_path)
 
 
 class TestGoldenBytesForked(TestGoldenBytes):
-    """The same cases with two usable CPUs: two pool threads from four chunks on."""
+    """The same cases with two usable CPUs, on outputs of four chunks or more, so that
+    each file is formatted by a pool of two threads."""
 
     workers = 2
+    repeats = 4
 
 
 def _cli(tmp_path, command, doc, out, *extra):
@@ -263,8 +272,12 @@ class TestCliCsvGoldenBytes:
     workers = 1
 
     @pytest.fixture(autouse=True)
-    def _workers(self, usable_cpus):
+    def _workers(self, usable_cpus, pools):
+        """Only the CSV goes through the chunk writer: a pool of ``workers`` threads
+        when that is two or more."""
         usable_cpus(self.workers)
+        yield
+        assert pools == ([self.workers] if self.workers > 1 else [])
 
     def test_gouy_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_floattext, "BLOCK", 7)
@@ -279,7 +292,7 @@ class TestCliCsvGoldenBytes:
         assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_compare_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_floattext, "BLOCK", 3)
+        monkeypatch.setattr(_floattext, "BLOCK", 1)  # four rows, one per paraxiality
         doc = {"beam": {"k": 100}, "compare": {"points": 60}}
         assert _cli(tmp_path, "compare", doc, tmp_path / "c.csv") == 0
         assert _cli(tmp_path, "compare", doc, tmp_path / "c.json", "--format", "json") == 0
@@ -297,7 +310,8 @@ class TestCliCsvGoldenBytes:
 
 
 class TestCliCsvGoldenBytesForked(TestCliCsvGoldenBytes):
-    """The same CLI runs with two usable CPUs, so their chunks go to two pool threads."""
+    """The same CLI runs with two usable CPUs; their CSVs have four chunks or more, so
+    the chunks go to two pool threads."""
 
     workers = 2
 
@@ -377,10 +391,11 @@ class TestWorkers:
         assert pools == []
 
     @pytest.mark.parametrize("cpus, chunks, expected",
-                             [(8, 3, 0), (2, 4, 2), (8, 7, 3), (1, 3, 0), (1, 8, 0)])
+                             [(8, 3, 0), (2, 4, 2), (8, 7, 3), (1, 3, 0), (1, 8, 0),
+                              (64, 200, 3)])
     def test_worker_count(self, cpus, chunks, expected, rng, tmp_path, monkeypatch, pools,
                           usable_cpus):
-        """min(usable CPUs, chunks // 2) threads; no pool below two."""
+        """min(usable CPUs, chunks // 2, MAX_THREADS) threads; no pool below two."""
         usable_cpus(cpus)
         monkeypatch.setattr(_floattext, "BLOCK", 5)
         save_csv(_random_grid(rng, (chunks * 5,)), tmp_path / "f.csv")
@@ -418,15 +433,17 @@ class TestWorkers:
 
     @pytest.mark.parametrize("block", [4, 5])
     def test_bytes_independent_of_thread_count(self, block, rng, tmp_path, monkeypatch,
-                                               usable_cpus):
-        """1, 2 and 3 threads write the reference bytes; with 15 values per
+                                               usable_cpus, pools):
+        """1, 2 and 3 threads write the reference bytes; with 30 values per
         JSON array, a 4-value chunk spans the switch from im to re and a
-        5-value chunk starts at it."""
+        5-value chunk starts at it. Both files have six chunks or more."""
         monkeypatch.setattr(_floattext, "BLOCK", block)
-        grid = _random_grid(rng, (5, 3))
+        grid = _random_grid(rng, (6, 5))
         for workers in (1, 2, 3):
             usable_cpus(workers)
+            pools.clear()
             _assert_same_bytes(grid, tmp_path)
+            assert pools == ([workers] * 2 if workers > 1 else [])
 
     @pytest.mark.parametrize("writer", [save_csv, save_json])
     def test_never_forks(self, writer, rng, tmp_path, monkeypatch, pools, usable_cpus):

@@ -14,6 +14,7 @@ from exactbeam import (
     hermite,
     second_derivative,
 )
+from exactbeam.numerics import _doubled_zeros
 from exactbeam.verify import _hermite_rule
 from oracle_tools import hermite_series, hermite_terms
 
@@ -28,15 +29,12 @@ def _tensor_sum(f, node_count, width=math.sqrt(2.0)):
 
 
 def _hermite_out_of_place(order, x):
-    """The product over the zeros without reused buffers: the bit-level reference."""
+    """The running product over the cached zeros with a new array per factor."""
     x = np.asarray(x, dtype=float)
-    zeros = np.polynomial.hermite.hermgauss(order)[0][(order + 1) // 2:] if order else []
     h = 2.0 * x if order % 2 else np.ones_like(x)
-    for z in zeros:
-        h = h * (2.0 * x - 2.0 * z) * (2.0 * x + 2.0 * z)
-    if x.ndim == 0:
-        return float(h)
-    return h
+    for z in _doubled_zeros(order):
+        h = h * (2.0 * x - z) * (2.0 * x + z)
+    return float(h) if x.ndim == 0 else h
 
 
 def _hermite_recurrence(order, x):
@@ -92,8 +90,9 @@ class TestHermite:
 
     @pytest.mark.parametrize("order", range(61))
     def test_in_place_recurrence_is_bit_identical(self, order, rng):
-        """The running product over the zeros, updated in place, has the bits of its
-        out-of-place form."""
+        """The running product over the zeros, h <- h (2x - 2z_j)(2x + 2z_j), updated in
+        two reused buffers has the bits of the same product with a new array per factor:
+        no buffer overwrites one that is still read."""
         for x in (-0.7, np.array(2.25), _hermite_points(rng)):
             got, want = hermite(order, x), _hermite_out_of_place(order, x)
             assert type(got) is type(want)
