@@ -17,7 +17,6 @@ from .beam import (
     bateman_gaussian_psi,
     envelope_phi,
     exact_psi,
-    gouy_phase,
     normalization_constant,
     paraxial_psi,
     spot_radius,
@@ -43,7 +42,6 @@ from .errors import (
 )
 from .gridio import AxisSpec, FieldGrid
 from .numerics import (
-    StencilSpec,
     first_derivative,
     hermite,
     second_derivative,
@@ -61,7 +59,6 @@ from .verify import (
     fit_gouy,
     gouy_phase_samples,
     hermite_ridge_offset,
-    residual_convergence_sweep,
     residual_full_wave,
     residual_reduced,
     sample_paraxial_points,
@@ -88,7 +85,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "ResidualReport",
     "SpaceTimePoint",
-    "StencilSpec",
     "UnsupportedOrderError",
     "alternate_correspondence_sweep",
     "alternate_exact_psi",
@@ -106,13 +102,11 @@ __all__ = [
     "exact_psi",
     "first_derivative",
     "fit_gouy",
-    "gouy_phase",
     "gouy_phase_samples",
     "hermite",
     "hermite_ridge_offset",
     "normalization_constant",
     "paraxial_psi",
-    "residual_convergence_sweep",
     "residual_full_wave",
     "residual_reduced",
     "sample_paraxial_points",

@@ -224,11 +224,6 @@ def spot_radius(params: BeamParams, s):
     return params.w0 * np.sqrt(1.0 + (np.asarray(s) / params.rayleigh_range) ** 2)
 
 
-def gouy_phase(params: BeamParams, mode: ModeIndex, s):
-    """Axial phase retardation g_mn(s) = (1 + m + n) * arctan(s/L_R)."""
-    return (1 + mode.total_order) * np.arctan(np.asarray(s) / params.rayleigh_range)
-
-
 # ---------------------------------------------------------------------------
 # blocked elementwise evaluation
 # ---------------------------------------------------------------------------

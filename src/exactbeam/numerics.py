@@ -1,4 +1,7 @@
-"""Foundational numerics: Hermite polynomials and finite-difference stencils.
+"""Foundational numerics: Hermite polynomials and 4th-order central differences.
+
+The differences combine field samples the caller has already taken at the
+five ``OFFSETS``; ``verify`` takes them.
 
 Everything here is a pure function of its inputs, so all routines stay
 safe to call from parallel sweeps.
@@ -6,7 +9,6 @@ safe to call from parallel sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,57 +79,33 @@ def hermite(order: int, x):
 # finite differences
 # ---------------------------------------------------------------------------
 
-# central stencils, indexed by accuracy order
-_D2_WEIGHTS = {
-    2: (np.array([1.0, -2.0, 1.0]), 1),
-    4: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, 2),
-}
-_D1_WEIGHTS = {
-    2: (np.array([-0.5, 0.0, 0.5]), 1),
-    4: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, 2),
-}
+#: Offsets, in steps, of the samples the derivatives below take, in this order.
+OFFSETS = (-2, -1, 0, 1, 2)
+
+_D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-@dataclass(frozen=True)
-class StencilSpec:
-    """Central finite-difference stencil: step size and accuracy order (2 or 4)."""
-
-    step: float
-    accuracy_order: int = 4
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.accuracy_order not in _D2_WEIGHTS:
-            raise ValueError(f"accuracy_order must be one of {sorted(_D2_WEIGHTS)}")
-
-
-def _apply_stencil(f, at, step, weights, reach, centre=None):
-    at = np.asarray(at, dtype=float)
+def _weighted_sum(samples, weights):
+    """sum(w * sample) in offset order, skipping zero weights (whose sample may be None)."""
     total = None
-    for k, w in zip(range(-reach, reach + 1), weights):
+    for w, value in zip(weights, samples):
         if w == 0.0:
             continue
-        value = centre if k == 0 and centre is not None else f(at + k * step)
         term = w * np.asarray(value)
         total = term if total is None else total + term
     return total
 
 
-def second_derivative(f, at, spec: StencilSpec, centre=None):
-    """Central finite-difference estimate of f'' at ``at``.
+def second_derivative(samples, step):
+    """4th-order central estimate of f'' from ``samples``, f at x + k*step for k in OFFSETS.
 
-    ``f`` may return real or complex values and must accept ndarray input
-    of the same shape as ``at``. Error is O(step**accuracy_order).
-    ``centre``, if given, is the already evaluated ``f(at)``; it replaces
-    the centre-node call, which gives the same bits since
-    ``at + 0*step == at``.
+    The samples may be real or complex scalars or arrays of one shape.
+    The error is O(step**4).
     """
-    weights, reach = _D2_WEIGHTS[spec.accuracy_order]
-    return _apply_stencil(f, at, spec.step, weights / spec.step**2, reach, centre)
+    return _weighted_sum(samples, _D2_WEIGHTS / step**2)
 
 
-def first_derivative(f, at, spec: StencilSpec):
-    """Central finite-difference estimate of f' at ``at`` (same conventions)."""
-    weights, reach = _D1_WEIGHTS[spec.accuracy_order]
-    return _apply_stencil(f, at, spec.step, weights / spec.step, reach)
+def first_derivative(samples, step):
+    """4th-order central estimate of f' from the same samples; the centre one is not used."""
+    return _weighted_sum(samples, _D1_WEIGHTS / step)

@@ -33,7 +33,7 @@ from .beam import (
     spot_radius,
 )
 from .errors import ConfigError, GouyPathError, NumericOverflowError, QuadratureConvergenceError
-from .numerics import StencilSpec, first_derivative, hermite, second_derivative
+from .numerics import OFFSETS, first_derivative, hermite, second_derivative
 
 EQUATION_LABELS = (
     "full_wave_eq1",
@@ -195,27 +195,37 @@ def sample_paraxial_points(params: BeamParams, count: int, rng,
     return SpaceTimePoint(rho * np.cos(az), rho * np.sin(az), x3, x3 / params.v)
 
 
-def _point_arrays(points):
-    if isinstance(points, SpaceTimePoint):
-        arrs = np.broadcast_arrays(
-            np.asarray(points.x1, dtype=float),
-            np.asarray(points.x2, dtype=float),
-            np.asarray(points.x3, dtype=float),
-            np.asarray(points.t, dtype=float),
-        )
-        return tuple(np.atleast_1d(a) for a in arrs)
-    pts = list(points)
-    return (
-        np.array([p.x1 for p in pts], dtype=float),
-        np.array([p.x2 for p in pts], dtype=float),
-        np.array([p.x3 for p in pts], dtype=float),
-        np.array([p.t for p in pts], dtype=float),
+def _point_arrays(points: SpaceTimePoint):
+    arrs = np.broadcast_arrays(
+        np.asarray(points.x1, dtype=float),
+        np.asarray(points.x2, dtype=float),
+        np.asarray(points.x3, dtype=float),
+        np.asarray(points.t, dtype=float),
     )
+    return tuple(np.atleast_1d(a) for a in arrs)
 
 
 # ---------------------------------------------------------------------------
 # PDE residuals
 # ---------------------------------------------------------------------------
+
+
+def _stencil(field, coords, axis, step, centre):
+    """``field(*coords)`` with ``coords[axis]`` moved by each of ``OFFSETS`` steps.
+
+    Returns the samples in offset order for ``numerics.second_derivative``
+    and ``first_derivative``. The zero offset is ``centre``, the field
+    already evaluated at ``coords``, so each axis costs four field calls.
+    """
+    samples = []
+    for k in OFFSETS:
+        if k == 0:
+            samples.append(centre)
+            continue
+        shifted = list(coords)
+        shifted[axis] = coords[axis] + k * step
+        samples.append(field(*shifted))
+    return samples
 
 
 def default_wave_steps(params: BeamParams) -> dict:
@@ -257,19 +267,15 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
     t_step = defaults["t_step"] if t_step is None else t_step
     transverse_step = defaults["transverse_step"] if transverse_step is None else transverse_step
 
-    x1, x2, x3, t = _point_arrays(points)
-    psi = np.asarray(field(SpaceTimePoint(x1, x2, x3, t)))
+    coords = _point_arrays(points)
+    psi = np.asarray(field(SpaceTimePoint(*coords)))
     mag = np.abs(psi)
     keep = mag >= NODE_FLOOR * mag.max()
 
-    tr = StencilSpec(transverse_step)
-    d11 = second_derivative(lambda u: field(SpaceTimePoint(u, x2, x3, t)), x1, tr, psi)
-    d22 = second_derivative(lambda u: field(SpaceTimePoint(x1, u, x3, t)), x2, tr, psi)
-    d33 = second_derivative(
-        lambda u: field(SpaceTimePoint(x1, x2, u, t)), x3, StencilSpec(x3_step), psi
-    )
-    dtt = second_derivative(
-        lambda u: field(SpaceTimePoint(x1, x2, x3, u)), t, StencilSpec(t_step), psi
+    at = lambda *c: field(SpaceTimePoint(*c))
+    d11, d22, d33, dtt = (
+        second_derivative(_stencil(at, coords, axis, step, psi), step)
+        for axis, step in enumerate((transverse_step, transverse_step, x3_step, t_step))
     )
     operator = np.abs(d11 + d22 + d33 - dtt / params.v**2)
     residual = operator / (params.k**2 * mag)
@@ -287,41 +293,14 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
     )
 
 
-def residual_convergence_sweep(params: BeamParams, field, points, *, base: float = 0.32,
-                               levels: int = 3):
-    """Step-halving residual sequence establishing the stencil order.
-
-    The base step puts ``k*h = base`` in the truncation-dominated
-    regime; each level halves all steps. Returns (residuals, orders)
-    where orders[i] = log2(residual[i] / residual[i+1]); a clean
-    4th-order stencil gives orders near 4.
-    """
-    residuals = []
-    for level in range(levels):
-        f = 0.5**level
-        rep = residual_full_wave(
-            params,
-            field,
-            points,
-            x3_step=base * f / params.k,
-            t_step=base * f / params.omega,
-            transverse_step=1e-2 * f * params.w0,
-        )
-        residuals.append(rep.max_relative_residual)
-    orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(levels - 1)]
-    return residuals, orders
-
-
-def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=None,
-                     s_step=None, equation: str = "reduced_eq12") -> ResidualReport:
+def residual_reduced(params: BeamParams, envelope, points) -> ResidualReport:
     """Residual of the parabolic envelope equation d11 + d22 + 2ik d/ds = 0.
 
     ``envelope`` is either a ModeIndex (checks the exact-family
     envelope) or a callable (x1, x2, s) -> complex. ``points`` is an
-    (x1, x2, s) triple of arrays. With ``equation="paraxial_eq3"`` the
-    same operator is read as the paraxial equation in x3. Steps default
-    to envelope scales (waist transversely, Rayleigh range
-    longitudinally): the envelope carries no carrier oscillation, so
+    (x1, x2, s) triple of arrays. The steps are envelope scales, a
+    thousandth of the waist transversely and 5e-4 of the Rayleigh range
+    in s: the envelope carries no carrier oscillation, so
     wavelength-scale steps would only amplify rounding noise in its
     slow second derivatives.
 
@@ -335,24 +314,23 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
     if isinstance(envelope, ModeIndex):
         mode = envelope
         envelope = lambda x1, x2, s: envelope_phi(params, mode, x1, x2, s)
-    transverse_step = 1e-3 * params.w0 if transverse_step is None else transverse_step
-    s_step = 5e-4 * params.rayleigh_range if s_step is None else s_step
+    transverse_step = 1e-3 * params.w0
+    s_step = 5e-4 * params.rayleigh_range
 
-    x1, x2, s = (np.atleast_1d(np.asarray(a, dtype=float)) for a in points)
-    phi = np.asarray(envelope(x1, x2, s))
+    coords = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in points)
+    phi = np.asarray(envelope(*coords))
     mag = np.abs(phi)
     keep = mag >= NODE_FLOOR * mag.max()
 
-    tr = StencilSpec(transverse_step)
-    d11 = second_derivative(lambda u: envelope(u, x2, s), x1, tr, phi)
-    d22 = second_derivative(lambda u: envelope(x1, u, s), x2, tr, phi)
-    ds = first_derivative(lambda u: envelope(x1, x2, u), s, StencilSpec(s_step))
+    d11 = second_derivative(_stencil(envelope, coords, 0, transverse_step, phi), transverse_step)
+    d22 = second_derivative(_stencil(envelope, coords, 1, transverse_step, phi), transverse_step)
+    ds = first_derivative(_stencil(envelope, coords, 2, s_step, phi), s_step)
     operator = np.abs(d11 + d22 + 2j * params.k * ds)
     residual = operator / (params.k**2 * mag)
 
     skipped = int((~keep).sum())
     return ResidualReport(
-        equation=equation,
+        equation="reduced_eq12",
         point_count=int(keep.sum()),
         max_relative_residual=float(residual[keep].max()),
         normalization="k^2 |phi|",
@@ -367,8 +345,7 @@ def residual_reduced(params: BeamParams, envelope, points, *, transverse_step=No
 # ---------------------------------------------------------------------------
 
 
-def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, x3_step=None,
-                   t_step=None, envelope=None):
+def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, envelope=None):
     """Check first- and second-derivative interchange of x3 and v*t.
 
     The exact envelope depends on (x3, t) only through s = (x3+v*t)/2,
@@ -379,19 +356,17 @@ def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, x3_step=None,
     meaningful where both sides pass through zero), so a t-independent
     envelope fails the first-order relation at order unity.
     ``envelope`` overrides the checked function (callable
-    (x1, x2, x3, t) -> complex), which is how mutants are injected. The
-    two step defaults are deliberately incommensurate so the x3 and t
-    stencils never sample identical s values.
+    (x1, x2, x3, t) -> complex), which is how mutants are injected. Both
+    derivatives along an axis come from one set of samples. The x3 step
+    is 1e-3 L_R and the v*t step 1.5e-3 L_R, deliberately incommensurate
+    so the x3 and t stencils never sample identical s values.
     """
     if envelope is None:
         envelope = FAMILIES["exact"].envelope(params, mode)
     lr = params.rayleigh_range
-    x3_step = 1e-3 * lr if x3_step is None else x3_step
-    t_step = 1.5e-3 * lr / params.v if t_step is None else t_step
-
-    x1, x2, x3, t = _point_arrays(points)
-    sx = StencilSpec(x3_step)
-    st = StencilSpec(t_step)
+    x3_step = 1e-3 * lr
+    t_step = 1.5e-3 * lr / params.v
+    coords = _point_arrays(points)
 
     def mismatch(equation, normalization, a, b):
         gap = np.abs(a - b)
@@ -406,13 +381,15 @@ def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, x3_step=None,
             max_peak_residual=float(gap.max() / denom.max()),
         )
 
-    centre = envelope(x1, x2, x3, t)
-    d3 = first_derivative(lambda u: envelope(x1, x2, u, t), x3, sx)
-    dt = first_derivative(lambda u: envelope(x1, x2, x3, u), t, st)
+    centre = envelope(*coords)
+    along_x3 = _stencil(envelope, coords, 2, x3_step, centre)
+    along_t = _stencil(envelope, coords, 3, t_step, centre)
+    d3 = first_derivative(along_x3, x3_step)
+    dt = first_derivative(along_t, t_step)
     first = mismatch("symmetry_eq10", "max(|d/dx3|, |v^-1 d/dt|)", d3, dt / params.v)
 
-    d33 = second_derivative(lambda u: envelope(x1, x2, u, t), x3, sx, centre)
-    dtt = second_derivative(lambda u: envelope(x1, x2, x3, u), t, st, centre)
+    d33 = second_derivative(along_x3, x3_step)
+    dtt = second_derivative(along_t, t_step)
     second = mismatch("symmetry_eq11", "max(|d2/dx3^2|, |v^-2 d2/dt^2|)", d33, dtt / params.v**2)
     return first, second
 

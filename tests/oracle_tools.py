@@ -100,6 +100,33 @@ def mollified_time_integral(params, integrand, kind, x1, x2, x3, sigma_t,
     return float(np.sum(wts * g_vals * nascent))
 
 
+def residual_convergence_sweep(params, field, points, *, base: float = 0.32, levels: int = 3):
+    """Step-halving sequence of ``verify.residual_full_wave`` establishing the stencil order.
+
+    Unlike the oracles here it drives the package's residual, with steps
+    that put ``k*h = base`` in the truncation-dominated regime and halve
+    each level. Returns (residuals, orders) where
+    orders[i] = log2(residual[i] / residual[i+1]); a clean 4th-order
+    stencil gives orders near 4.
+    """
+    from exactbeam.verify import residual_full_wave
+
+    residuals = []
+    for level in range(levels):
+        f = 0.5**level
+        rep = residual_full_wave(
+            params,
+            field,
+            points,
+            x3_step=base * f / params.k,
+            t_step=base * f / params.omega,
+            transverse_step=1e-2 * f * params.w0,
+        )
+        residuals.append(rep.max_relative_residual)
+    orders = [math.log2(residuals[i] / residuals[i + 1]) for i in range(levels - 1)]
+    return residuals, orders
+
+
 def mollified_extrapolated(params, integrand, kind, x1, x2, x3, sigmas) -> float:
     """Richardson extrapolation in sigma^2 from the two narrowest mollifiers."""
     values = [

@@ -34,13 +34,12 @@ from exactbeam import (
     gouy_phase_samples,
     normalization_constant,
     paraxial_psi,
-    residual_convergence_sweep,
     residual_full_wave,
     sample_points,
     spot_radius,
     transverse_gram,
 )
-from oracle_tools import mollified_extrapolated
+from oracle_tools import mollified_extrapolated, residual_convergence_sweep
 
 BEAM = BeamParams(k=50.0, w0=1.0, v=1.0)
 TIGHT = BeamParams(k=100.0, w0=1.0, v=1.0)

@@ -21,7 +21,6 @@ from exactbeam import (
     bateman_gaussian_psi,
     envelope_phi,
     exact_psi,
-    gouy_phase,
     normalization_constant,
     paraxial_psi,
     spot_radius,
@@ -126,14 +125,6 @@ class TestGeometryFactors:
         assert spot_radius(beam50, 0.0) == 1.0
         assert spot_radius(beam50, lr) == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert spot_radius(beam50, 10 * lr) == pytest.approx(math.sqrt(101.0), rel=1e-15)
-
-    def test_gouy_phase(self, beam50):
-        lr = beam50.rayleigh_range
-        assert gouy_phase(beam50, ModeIndex(4, 4), 0.0) == 0.0
-        assert gouy_phase(beam50, ModeIndex(2, 1), lr) == pytest.approx(math.pi, rel=1e-15)
-        assert gouy_phase(beam50, ModeIndex(0, 0), 1e9 * lr) == pytest.approx(
-            math.pi / 2.0, rel=1e-8
-        )
 
 
 class TestEnvelope:

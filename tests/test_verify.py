@@ -33,7 +33,6 @@ from exactbeam import (
     hermite_ridge_offset,
     normalization_constant,
     paraxial_psi,
-    residual_convergence_sweep,
     residual_full_wave,
     residual_reduced,
     sample_paraxial_points,
@@ -44,7 +43,9 @@ from exactbeam import (
 from exactbeam import beam as beam_module
 from exactbeam import verify as verify_module
 from exactbeam.config import parse_config
+from exactbeam.numerics import OFFSETS
 from exactbeam.verify import GRAM_MODES, SUITE_TOLERANCES, SUITES, run_battery
+from oracle_tools import residual_convergence_sweep
 
 
 class TestReports:
@@ -154,6 +155,45 @@ class TestFullWaveResidual:
         assert d["x3_step"] == pytest.approx(default_wave_steps(slow)["x3_step"] / 4.0)
         assert d["t_step"] == pytest.approx(1e-2 / (200.0 * 4.0))
         assert d["transverse_step"] == pytest.approx(1e-3 * 0.5)
+
+
+class TestStencilEngine:
+    """The residual, reduced and symmetry checks sample the field through one ``_stencil``."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def field(*args):
+            calls.append(1)
+            return f(*args)
+
+        return field, calls
+
+    def test_field_calls_per_check(self, beam50, rng):
+        mode = ModeIndex(2, 1)
+        points = sample_points(beam50, 30, rng)
+        psi, calls = self.counted(FAMILIES["exact"].psi(beam50, mode))
+        residual_full_wave(beam50, psi, points)
+        assert len(calls) == 1 + 4 * 4
+        env, calls = self.counted(lambda x1, x2, s: envelope_phi(beam50, mode, x1, x2, s))
+        residual_reduced(beam50, env, (points.x1, points.x2, points.x3))
+        assert len(calls) == 1 + 3 * 4
+        env, calls = self.counted(FAMILIES["exact"].envelope(beam50, mode))
+        check_symmetry(beam50, mode, points, envelope=env)
+        assert len(calls) == 1 + 2 * 4
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_reused_centre_is_bit_identical(self, beam50, rng, axis):
+        """The centre slot holds field(coords), which is field(coords with + 0 * step)."""
+        env = FAMILIES["exact"].envelope(beam50, ModeIndex(2, 1))
+        coords = verify_module._point_arrays(sample_points(beam50, 30, rng))
+        step = 1e-3 * beam50.rayleigh_range
+        got = verify_module._stencil(env, coords, axis, step, env(*coords))
+        for k, sample in zip(OFFSETS, got):
+            shifted = list(coords)
+            shifted[axis] = coords[axis] + k * step
+            np.testing.assert_array_equal(sample, env(*shifted))
 
 
 class TestConvergenceSweep:
