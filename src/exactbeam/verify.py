@@ -231,17 +231,22 @@ def _stencil(field, coords, axis, step, centre):
 def default_wave_steps(params: BeamParams) -> dict:
     """Default per-axis stencil steps for the full-wave residual.
 
-    Longitudinal and time steps resolve the carrier oscillation at one
-    hundredth of a radian of phase per step; the transverse step is a
-    thousandth of the waist. Larger longitudinal steps lose accuracy to
-    truncation; much smaller ones lose it to rounding of the carrier
-    phase argument, which grows like eps*|k*x3|/(k*h)^2 at three
-    Rayleigh ranges.
+    Each step resolves the field's shortest scale along its axis. The
+    longitudinal step is min(1e-2/k, 5e-4 L_R): a hundredth of a radian
+    of carrier phase, or, below k*w0 = sqrt(40), where L_R shrinks
+    faster than the wavelength and the Gouy phase (1+m+n) arctan(s/L_R)
+    varies faster than the carrier, 5e-4 of the Rayleigh range. The
+    time step is the same in v*t. The transverse step is a thousandth
+    of min(w0, L_R), which is w0 from k*w0 = 2 up. Larger steps lose
+    accuracy to truncation; much smaller ones lose it to rounding of
+    the carrier phase argument, which grows like eps*|k*x3|/(k*h)^2 at
+    three Rayleigh ranges.
     """
+    lr = params.rayleigh_range
     return {
-        "x3_step": 1e-2 / params.k,
-        "t_step": 1e-2 / params.omega,
-        "transverse_step": 1e-3 * params.w0,
+        "x3_step": min(1e-2 / params.k, 5e-4 * lr),
+        "t_step": min(1e-2 / params.omega, 5e-4 * lr / params.v),
+        "transverse_step": 1e-3 * min(params.w0, lr),
     }
 
 

@@ -155,6 +155,26 @@ class TestFullWaveResidual:
         assert d["x3_step"] == pytest.approx(default_wave_steps(slow)["x3_step"] / 4.0)
         assert d["t_step"] == pytest.approx(1e-2 / (200.0 * 4.0))
         assert d["transverse_step"] == pytest.approx(1e-3 * 0.5)
+        # below k*w0 = sqrt(40) the Rayleigh range, not the wavelength, sets the steps
+        tight = BeamParams(k=1.0, w0=2.0, v=4.0)
+        d = default_wave_steps(tight)
+        assert d["x3_step"] == 5e-4 * tight.rayleigh_range
+        assert d["t_step"] == 5e-4 * tight.rayleigh_range / 4.0
+        assert d["transverse_step"] == 1e-3 * 2.0
+        d = default_wave_steps(BeamParams(k=1.0, w0=1.0))
+        assert d["transverse_step"] == 1e-3 * 0.5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("natural_units", [True, False])
+def test_residual_passes_high_modes_at_unit_k_w0(seed, natural_units):
+    """At k*w0 = 1 the Gouy phase of (20,0) and (10,10) outruns carrier-sized steps."""
+    beam = {"k": 1.0} if natural_units else {"k": 1e3, "w0": 1e-3, "v": 299792458.0}
+    config = parse_config({"beam": beam, "modes": [[20, 0], [10, 10]],
+                           "verify": {"suites": ["residual"], "seed": seed}},
+                          natural_units=natural_units)
+    entry = run_battery(config)["suites"]["residual"]
+    assert entry["passed"], entry
 
 
 class TestStencilEngine:
