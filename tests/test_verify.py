@@ -42,7 +42,7 @@ from exactbeam import (
 )
 from exactbeam import beam as beam_module
 from exactbeam import verify as verify_module
-from exactbeam.config import parse_config
+from exactbeam.config import COMPARE_DEFAULTS, parse_config
 from exactbeam.numerics import OFFSETS
 from exactbeam.verify import GRAM_MODES, SUITE_TOLERANCES, SUITES, run_battery
 from oracle_tools import residual_convergence_sweep
@@ -527,6 +527,20 @@ class TestAlternateComparison:
         devs = [r.max_relative_deviation for r in reports]
         assert devs == sorted(devs, reverse=True)
         assert all(o >= 1.8 for o in orders)
+
+    @pytest.mark.parametrize("kw0", [2.0, 5.0])
+    def test_order_gate_holds_for_every_seed(self, kw0):
+        """Each level scales one seeded sample to its cone, so the order is not a ratio of noise."""
+        beam = BeamParams(k=kw0, w0=1.0)
+        for seed in range(50):
+            _, orders = alternate_correspondence_sweep(beam, seed=seed)
+            assert min(orders) >= COMPARE_DEFAULTS["min_order"], (seed, orders)
+
+    def test_every_level_sees_one_sample(self, beam100):
+        reports, _ = alternate_correspondence_sweep(beam100, (0.02, 0.01), seed=5)
+        for rep in reports:
+            points = sample_paraxial_points(beam100, 100, np.random.default_rng(5), rep.paraxiality)
+            assert rep == compare_alternate(beam100, rep.paraxiality, points=points)
 
 
 def _modules_loaded_by_cli_import() -> set:
