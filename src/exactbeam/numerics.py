@@ -100,8 +100,9 @@ def _weighted_sum(samples, weights):
 def second_derivative(samples, step):
     """4th-order central estimate of f'' from ``samples``, f at x + k*step for k in OFFSETS.
 
-    The samples may be real or complex scalars or arrays of one shape.
-    The error is O(step**4).
+    ``samples`` is any iterable of real or complex scalars or arrays of
+    one shape, consumed once, in offset order; the sum keeps one sample
+    at a time. The error is O(step**4).
     """
     return _weighted_sum(samples, _D2_WEIGHTS / step**2)
 

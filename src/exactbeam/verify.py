@@ -7,6 +7,12 @@ is recovered by nonlinear fitting, and the two exact Gaussian families
 are compared through a scale-free fitted constant. Reports are plain
 frozen dataclasses with ``to_dict`` for JSON export.
 
+The three finite-difference checks (the full-wave and reduced residuals
+and the symmetry check) take their samples through one private sampler,
+``_stencil``, which shifts one coordinate by each of ``numerics.OFFSETS``
+steps and reuses the field already evaluated at the centre; the
+4th-order weights in ``numerics`` turn the samples into derivatives.
+
 The battery that ``beam verify`` runs is the ``SUITES`` registry at the
 end of this module: each suite is declared there once, with its runner,
 its tolerances and the mutants it must reject; ``run_battery`` runs it.
@@ -213,19 +219,19 @@ def _point_arrays(points: SpaceTimePoint):
 def _stencil(field, coords, axis, step, centre):
     """``field(*coords)`` with ``coords[axis]`` moved by each of ``OFFSETS`` steps.
 
-    Returns the samples in offset order for ``numerics.second_derivative``
-    and ``first_derivative``. The zero offset is ``centre``, the field
-    already evaluated at ``coords``, so each axis costs four field calls.
+    Yields the samples in offset order for ``numerics.second_derivative``
+    and ``first_derivative``, lazily, so a derivative holds one sample at
+    a time, as many as a running sum needs. The zero offset is
+    ``centre``, the field already evaluated at ``coords``, so each axis
+    costs four field calls.
     """
-    samples = []
     for k in OFFSETS:
         if k == 0:
-            samples.append(centre)
+            yield centre
             continue
         shifted = list(coords)
         shifted[axis] = coords[axis] + k * step
-        samples.append(field(*shifted))
-    return samples
+        yield field(*shifted)
 
 
 def default_wave_steps(params: BeamParams) -> dict:
@@ -277,9 +283,9 @@ def residual_full_wave(params: BeamParams, field, points, *, x3_step=None,
     mag = np.abs(psi)
     keep = mag >= NODE_FLOOR * mag.max()
 
-    at = lambda *c: field(SpaceTimePoint(*c))
+    psi_at = lambda *c: field(SpaceTimePoint(*c))
     d11, d22, d33, dtt = (
-        second_derivative(_stencil(at, coords, axis, step, psi), step)
+        second_derivative(_stencil(psi_at, coords, axis, step, psi), step)
         for axis, step in enumerate((transverse_step, transverse_step, x3_step, t_step))
     )
     operator = np.abs(d11 + d22 + d33 - dtt / params.v**2)
@@ -387,8 +393,8 @@ def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, envelope=None
         )
 
     centre = envelope(*coords)
-    along_x3 = _stencil(envelope, coords, 2, x3_step, centre)
-    along_t = _stencil(envelope, coords, 3, t_step, centre)
+    along_x3 = tuple(_stencil(envelope, coords, 2, x3_step, centre))
+    along_t = tuple(_stencil(envelope, coords, 3, t_step, centre))
     d3 = first_derivative(along_x3, x3_step)
     dt = first_derivative(along_t, t_step)
     first = mismatch("symmetry_eq10", "max(|d/dx3|, |v^-1 d/dt|)", d3, dt / params.v)

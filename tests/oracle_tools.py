@@ -2,7 +2,9 @@
 
 Everything here is assembled from scratch with cmath/numpy/scipy/mpmath
 primitives, deliberately avoiding the package's own evaluation code
-paths, so a shared bug cannot cancel out of a comparison.
+paths, so a shared bug cannot cancel out of a comparison. The one
+exception, ``residual_convergence_sweep``, drives the package's residual
+at halving steps to measure its stencil order.
 """
 
 import cmath
@@ -103,9 +105,8 @@ def mollified_time_integral(params, integrand, kind, x1, x2, x3, sigma_t,
 def residual_convergence_sweep(params, field, points, *, base: float = 0.32, levels: int = 3):
     """Step-halving sequence of ``verify.residual_full_wave`` establishing the stencil order.
 
-    Unlike the oracles here it drives the package's residual, with steps
-    that put ``k*h = base`` in the truncation-dominated regime and halve
-    each level. Returns (residuals, orders) where
+    The base steps put ``k*h = base`` in the truncation-dominated regime,
+    and each level halves them. Returns (residuals, orders) where
     orders[i] = log2(residual[i] / residual[i+1]); a clean 4th-order
     stencil gives orders near 4.
     """
