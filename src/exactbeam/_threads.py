@@ -1,13 +1,14 @@
-"""How many threads a job of equal blocks runs on, and the threaded fill.
+"""The one thread runner: how many threads a job of equal blocks runs on, and the run.
 
-One rule sizes both the field evaluators' fill (:mod:`exactbeam.beam`)
-and the grid writers' formatting (:mod:`exactbeam.gridio`): a job of
-``blocks`` blocks runs on min(usable CPUs, blocks // 2, MAX_THREADS)
-threads, so that every thread gets at least two blocks, and in the
-calling thread when that is below two. Below two blocks per thread,
-starting the threads costs more than they save: a 20,000-point field
-call split over two threads ran slower than in one. There is no knob and
-no environment variable.
+``run_blocks`` runs both the field evaluators' fill (:mod:`exactbeam.beam`)
+and the grid writers' chunks (:mod:`exactbeam.gridio`), and one rule
+sizes it: a job of ``blocks`` blocks runs on min(usable CPUs,
+blocks // 2, MAX_THREADS) threads, the calling thread among them, so
+that every thread gets at least two blocks, and in the calling thread
+alone when that is below two. Below two blocks per thread, starting the
+threads costs more than they save: a 20,000-point field call split over
+two threads ran slower than in one. There is no knob and no environment
+variable.
 """
 
 from __future__ import annotations

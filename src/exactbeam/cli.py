@@ -46,7 +46,8 @@ def _guard_finite(values, what: str):
 def _grid_coordinates(config: RunConfig) -> dict:
     if not config.axes:
         raise ConfigError("field: grid.axes must define at least one axis")
-    mesh = np.meshgrid(*(ax.values for ax in config.axes), indexing="ij")
+    # one axis per array, broadcast against the others: the evaluators fill the full grid
+    mesh = np.meshgrid(*(ax.values for ax in config.axes), indexing="ij", sparse=True)
     coords = {ax.name: grid for ax, grid in zip(config.axes, mesh)}
     coords.update(config.fixed)
     return coords
@@ -73,8 +74,24 @@ def _psi_point(config: RunConfig, coords: dict) -> SpaceTimePoint:
     return SpaceTimePoint(x1, x2, x3, t)
 
 
-def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
+def _field_values(config: RunConfig, mode, coords: dict):
+    """The configured quantity on the grid; its coordinate arrays are freed on return."""
     params = config.beam
+    if config.quantity == "psi":
+        return FAMILIES[config.family].psi(params, mode)(_psi_point(config, coords))
+    if config.quantity == "density":
+        missing = {"r", "theta", "phi"} - set(coords)
+        if missing:
+            raise ConfigError(f"field: density grid is spherical; missing {sorted(missing)}")
+        p = SpaceTimePoint.from_spherical(coords["r"], coords["theta"], coords["phi"])
+        return density_D(params, mode, p.x1, p.x2, p.x3, include_jacobian=config.include_jacobian)
+    missing = {"theta", "phi"} - set(coords)  # angular_limit
+    if missing:
+        raise ConfigError(f"field: angular grid is missing {sorted(missing)}")
+    return asymptotic_F(params, mode, coords["theta"], coords["phi"])
+
+
+def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
     mode = None
     if config.quantity != "psi" or FAMILIES[config.family].takes_mode:
         if len(config.modes) != 1:
@@ -83,24 +100,10 @@ def cmd_field(config: RunConfig, out: str, fmt: str) -> int:
             )
         mode = config.modes[0]
 
-    coords = _grid_coordinates(config)
     # the finite-value guard below is the designed error path, so numpy's
     # intermediate overflow warnings would only duplicate it as noise
     with np.errstate(all="ignore"):
-        if config.quantity == "psi":
-            values = FAMILIES[config.family].psi(params, mode)(_psi_point(config, coords))
-        elif config.quantity == "density":
-            missing = {"r", "theta", "phi"} - set(coords)
-            if missing:
-                raise ConfigError(f"field: density grid is spherical; missing {sorted(missing)}")
-            p = SpaceTimePoint.from_spherical(coords["r"], coords["theta"], coords["phi"])
-            values = density_D(params, mode, p.x1, p.x2, p.x3,
-                               include_jacobian=config.include_jacobian)
-        else:  # angular_limit
-            missing = {"theta", "phi"} - set(coords)
-            if missing:
-                raise ConfigError(f"field: angular grid is missing {sorted(missing)}")
-            values = asymptotic_F(params, mode, coords["theta"], coords["phi"])
+        values = _field_values(config, mode, _grid_coordinates(config))
 
     shape = tuple(ax.count for ax in config.axes)
     values = np.asarray(values, dtype=complex)

@@ -9,7 +9,8 @@ for identical inputs. JSON files carry the same information as a single
 document, written as ``json.dump(doc, sort_keys=True, indent=1)`` would.
 
 Both writers stream: they format ``_floattext.BLOCK`` rows (CSV) or
-values (JSON) per chunk and never build the coordinate meshgrid. Their
+values of one array (JSON: the im array, then the re array) per chunk
+and never build the coordinate meshgrid. Their
 bytes equal those of ``np.savetxt`` with ``fmt="%.17g"`` and of
 ``json.dump``. ``save_rows`` is the same CSV writer for plain float
 columns (the gouy and compare outputs). The numbers are spelled by
@@ -21,27 +22,28 @@ out the rows. Each axis's values are encoded once and gathered per row.
 The encoder is imported by the writers, not with this module, so that
 commands that write no grid do not load it.
 
-The chunks are formatted on min(usable CPUs, chunks // 2, 3) threads,
-the rule of ``_threads.worker_count`` that the field evaluators' fill
-shares.
-The encoder's numpy work releases the interpreter lock, the threads read
-the caller's arrays in place, and the caller writes the returned bytes in
-chunk order, so the file does not depend on the CPU count. At most two
-chunks per thread are in flight, so memory stays bounded whatever the
-grid size. An output of fewer than four chunks (the 20,001-row gouy CSV
-has two) or a single usable CPU keeps all formatting in the calling
-thread.
+The chunks are rendered by ``_threads.run_blocks``, the runner of the
+field evaluators' fill, on min(usable CPUs, chunks // 2, 3) threads, the
+calling thread among them. The encoder's numpy work releases the
+interpreter lock and the threads read the caller's arrays in place. The
+thread that finishes the next chunk in order writes it and every
+finished chunk after it; a thread whose chunk must wait for an earlier
+one holds it until it is written, so at most one finished chunk per
+thread waits and memory stays bounded whatever the grid size. The file
+does not depend on the CPU count. An output of fewer than four chunks
+(the 20,001-row gouy CSV has two) or a single usable CPU is rendered in
+the calling thread alone.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import worker_count
+from ._threads import run_blocks
 from .errors import ConfigError
 
 FORMAT_VERSION = 1
@@ -113,31 +115,33 @@ def _meta_doc(grid: FieldGrid) -> dict:
 def _write_chunks(fh, render, count: int) -> None:
     """Write ``render(start, stop)`` for the ``_floattext.BLOCK`` ranges of [0, count), in order.
 
-    ``render`` returns the encoded bytes of items [start, stop). It runs on
-    ``_threads.worker_count`` threads, in the calling thread when that is
-    below two.
+    ``render`` returns the encoded bytes of items [start, stop); the ranges
+    go to ``_threads.run_blocks``. A failure wakes the threads that wait for
+    their chunk's turn, and ``run_blocks`` raises it in the caller.
     """
     from ._floattext import BLOCK
 
-    ranges = [(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK)]
-    workers = worker_count(len(ranges))
-    if workers < 2:
-        for start, stop in ranges:
-            fh.write(render(start, stop))
-        return
-    from concurrent.futures import ThreadPoolExecutor
+    finished, turn = {}, threading.Condition()  # rendered chunks waiting, by start
+    written, failed = 0, False  # start of the next chunk to write
 
-    pool = ThreadPoolExecutor(workers)
-    pending = deque()
-    try:
-        for start, stop in ranges:
-            if len(pending) == 2 * workers:
-                fh.write(pending.popleft().result())
-            pending.append(pool.submit(render, start, stop))
-        while pending:
-            fh.write(pending.popleft().result())
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def chunk(start, stop):
+        nonlocal written, failed
+        try:
+            text = render(start, stop)
+            with turn:
+                finished[start] = text
+                while written in finished:
+                    fh.write(finished.pop(written))
+                    written += BLOCK
+                turn.notify_all()
+                turn.wait_for(lambda: written > start or failed)
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    run_blocks(chunk, [(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK)])
 
 
 def _write_csv(path, header: str, count: int, block) -> None:
@@ -210,29 +214,21 @@ def save_json(grid: FieldGrid, path) -> None:
     # Equals json.dump(doc, fh, sort_keys=True, indent=1) with
     # doc["values"] = {"re": [...], "im": [...]}: "values" sorts after the
     # other top-level keys and "im" before "re", so the arrays go last.
-    # The chunks run over the im values followed by the re values.
     head = json.dumps(_meta_doc(grid), sort_keys=True, indent=1)
     flat = grid.values.ravel()
     n = flat.size
     separator = b",\n   "
 
-    def render(start, stop):
-        parts = []
-        for offset, values in ((0, flat.imag), (n, flat.real)):
-            lo, hi = max(start - offset, 0), min(stop - offset, n)
-            if lo >= hi:
-                continue
-            if lo:
-                parts.append(separator)
-            elif offset:
-                parts.append(b'\n  ],\n  "re": [\n   ')
-            text = join([encode(values[lo:hi], shortest=True)], [separator])
-            parts.append(text[:-len(separator)])
-        return b"".join(parts)
+    def render(values, start, stop):
+        # every value is followed by the separator but the array's last one
+        text = join([encode(values[start:stop], shortest=True)], [separator])
+        return text if stop < n else text[:-len(separator)]
 
     with open(path, "wb") as fh:
         fh.write((head[:-len("\n}")] + ',\n "values": {\n  "im": [\n   ').encode("utf-8"))
-        _write_chunks(fh, render, 2 * n)
+        _write_chunks(fh, lambda start, stop: render(flat.imag, start, stop), n)
+        fh.write(b'\n  ],\n  "re": [\n   ')
+        _write_chunks(fh, lambda start, stop: render(flat.real, start, stop), n)
         fh.write(b"\n  ]\n }\n}\n")
 
 

@@ -163,26 +163,24 @@ class AlternateComparisonReport:
 
 
 def sample_points(params: BeamParams, count: int, rng, *, x3_range=(-3.0, 3.0),
-                  vt_range=(-3.0, 3.0), transverse_factor: float = 2.0,
                   spread_with: str = "s") -> SpaceTimePoint:
     """Random space-time sample for residual scans.
 
-    Longitudinal coordinates x3 and v*t are uniform over the given
-    ranges (in Rayleigh-range units). Transverse coordinates are drawn
-    within ``transverse_factor`` local spot radii so the field is not
-    vanishingly small at the sample; the spot radius is taken at the
-    envelope argument s (exact family) or at x3 (``spread_with="x3"``,
-    appropriate for the complex-source family whose spreading follows
-    x3 alone).
+    x3 is uniform over ``x3_range`` and v*t over (-3, 3), in Rayleigh-range
+    units. Transverse coordinates are drawn within two local spot radii
+    so the field is not vanishingly small at the sample; the spot radius
+    is taken at the envelope argument s (exact family) or at x3
+    (``spread_with="x3"``, appropriate for the complex-source family
+    whose spreading follows x3 alone).
     """
     lr = params.rayleigh_range
     x3 = rng.uniform(x3_range[0], x3_range[1], count) * lr
-    vt = rng.uniform(vt_range[0], vt_range[1], count) * lr
+    vt = rng.uniform(-3.0, 3.0, count) * lr
     t = vt / params.v
     long_arg = 0.5 * (x3 + vt) if spread_with == "s" else x3
     w = spot_radius(params, long_arg)
-    x1 = rng.uniform(-1.0, 1.0, count) * transverse_factor * w
-    x2 = rng.uniform(-1.0, 1.0, count) * transverse_factor * w
+    x1 = rng.uniform(-1.0, 1.0, count) * 2.0 * w
+    x2 = rng.uniform(-1.0, 1.0, count) * 2.0 * w
     return SpaceTimePoint(x1, x2, x3, t)
 
 
@@ -419,6 +417,7 @@ def check_symmetry(params: BeamParams, mode: ModeIndex, points, *, envelope=None
 #: instead of stopping on QuadratureConvergenceError.
 _NODE_MARGIN = 8
 _RECHECK_NODES = 8
+_RECHECK_TOL = 1e-9
 
 
 def _hermite_rule(node_count: int, width: float):
@@ -457,8 +456,8 @@ def _gram_matrix(params, modes, s, constants, node_count):
     return np.triu(gram) + np.conj(np.triu(gram, 1)).T
 
 
-def transverse_gram(params: BeamParams, modes, s: float = 0.0, *, constants=None,
-                    convergence_tol: float = 1e-9) -> OrthoReport:
+def transverse_gram(params: BeamParams, modes, s: float = 0.0, *,
+                    constants=None) -> OrthoReport:
     """Gram matrix of normalized envelopes over one transverse plane.
 
     G[i, j] = integral of conj(Phi_i) * Phi_j dx1 dx2 at fixed s. With
@@ -468,7 +467,7 @@ def transverse_gram(params: BeamParams, modes, s: float = 0.0, *, constants=None
     integral is a Gauss-Hermite rule scaled to w(s), with
     ``_NODE_MARGIN`` more nodes per axis than the largest mode index.
     It is recomputed with ``_RECHECK_NODES`` more nodes and must agree
-    entry-wise to ``convergence_tol``, otherwise
+    entry-wise to ``_RECHECK_TOL``, otherwise
     QuadratureConvergenceError.
     """
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in modes]
@@ -485,10 +484,10 @@ def transverse_gram(params: BeamParams, modes, s: float = 0.0, *, constants=None
     gram = _gram_matrix(params, modes, s, cvals, nodes)
     gram_fine = _gram_matrix(params, modes, s, cvals, nodes + _RECHECK_NODES)
     drift = float(np.max(np.abs(gram - gram_fine)))
-    if drift > convergence_tol:
+    if drift > _RECHECK_TOL:
         raise QuadratureConvergenceError(
             f"Gram entries moved by {drift:.3e} between {nodes} and "
-            f"{nodes + _RECHECK_NODES} nodes per axis (tolerance {convergence_tol:.1e})"
+            f"{nodes + _RECHECK_NODES} nodes per axis (tolerance {_RECHECK_TOL:.1e})"
         )
 
     off = gram - np.diag(np.diag(gram))

@@ -5,12 +5,14 @@ import platform
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import exactbeam
+from exactbeam import _threads, beam, cli
 from exactbeam import (
     BeamParams,
     ModeIndex,
@@ -20,6 +22,7 @@ from exactbeam import (
     spot_radius,
 )
 from exactbeam.cli import _keep_freed_memory, main
+from exactbeam.config import load_config
 from exactbeam.gridio import load, load_csv
 from exactbeam.verify import SUITES
 
@@ -187,6 +190,82 @@ class TestField:
                    "--natural-units"])
         assert rc == 3
         assert not out.exists()
+
+
+def _full_grid_coordinates(config):
+    """The field's coordinates with every axis spread over the whole grid shape."""
+    mesh = np.meshgrid(*(ax.values for ax in config.axes), indexing="ij")
+    return {**{ax.name: grid for ax, grid in zip(config.axes, mesh)}, **config.fixed}
+
+
+def _axis(name, lo, hi, count):
+    return {"name": name, "min": lo, "max": hi, "count": count}
+
+
+#: One grid per quantity and per psi time mode, each with a coordinate swept on
+#: three axes, or on two where the quantity has no more.
+SPARSE_GRID_CASES = {
+    "psi-explicit-t": {"modes": [[2, 1]], "grid": {
+        "axes": [_axis("x1", -2.0, 2.0, 7), _axis("x3", -20.0, 30.0, 6), _axis("t", 0.0, 9.0, 5)],
+        "fixed": {"x2": 0.4}}},
+    "psi-fixed-time": {"modes": [[1, 2]], "grid": {
+        "axes": [_axis("x1", -2.0, 2.0, 7), _axis("x2", -1.5, 1.5, 6), _axis("x3", -9.0, 40.0, 5)],
+        "time": {"mode": "fixed", "t": 3.5}}},
+    "psi-constraint": {"modes": [[0, 3]], "grid": {
+        "axes": [_axis("x1", -2.0, 2.0, 7), _axis("x2", -1.5, 1.5, 6), _axis("x3", -9.0, 40.0, 5)],
+        "time": {"mode": "constraint", "kind": "exact_fE"}}},
+    "psi-s-locked": {"modes": [[3, 0]], "family": "paraxial", "grid": {
+        "axes": [_axis("x1", -2.0, 2.0, 7), _axis("x2", -1.5, 1.5, 6), _axis("s", -30.0, 30.0, 5)]}},
+    "density": {"modes": [[3, 2]], "quantity": "density", "grid": {
+        "axes": [_axis("r", 0.5, 200.0, 5), _axis("theta", 0.0, 0.3, 7), _axis("phi", -np.pi, np.pi, 6)]}},
+    "angular_limit": {"modes": [[2, 2]], "quantity": "angular_limit", "grid": {
+        "axes": [_axis("theta", 0.0, 0.3, 9), _axis("phi", -np.pi, np.pi, 8)]}},
+}
+
+
+class TestSparseGrid:
+    @pytest.mark.parametrize("case", list(SPARSE_GRID_CASES))
+    def test_same_bytes_as_full_grid(self, case, tmp_path, monkeypatch):
+        """Each axis is one array broadcast against the others, and every output
+        equals the one evaluated on full coordinate arrays, over evaluator blocks of
+        part of a row and of several rows on two threads."""
+        doc = {"beam": {"k": 50}, **SPARSE_GRID_CASES[case]}
+        path = config_path(tmp_path, doc)
+        config = load_config(path, natural_units=True)
+        for ax, coords in zip(config.axes, map(cli._grid_coordinates(config).get,
+                                               (ax.name for ax in config.axes))):
+            assert coords.size == ax.count
+        monkeypatch.setattr(beam, "BLOCK_POINTS", 5)
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+        written = {}
+        for grid in ("sparse", "full"):
+            if grid == "full":
+                monkeypatch.setattr(cli, "_grid_coordinates", _full_grid_coordinates)
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{grid}.{fmt}"
+                assert main(["field", "--config", path, "--out", str(out), "--format", fmt,
+                             "--natural-units"]) == 0
+                written[grid, fmt] = out.read_bytes()
+        for fmt in ("csv", "json"):
+            assert written["sparse", fmt] == written["full", fmt], fmt
+
+    def test_density_grid_memory_bound(self, tmp_path, monkeypatch):
+        """The benchmark's 50 x 100 x 100 density grid stays under 40 MB of
+        Python-tracked memory on three threads: no full coordinate grid outlives
+        the evaluation, so the writers' chunks come on top of the 8 MB of values
+        alone."""
+        doc = {"beam": {"k": 50}, "modes": [[3, 2]], "quantity": "density", "grid": {
+            "axes": [_axis("r", 1.0, 200.0, 50), _axis("theta", 0.0, 0.2, 100),
+                     _axis("phi", -np.pi, np.pi, 100)]}}
+        config = load_config(config_path(tmp_path, doc), natural_units=True)
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 3)
+        tracemalloc.start()
+        try:
+            assert cli.cmd_field(config, str(tmp_path / "density.json"), "json") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, peak
 
 
 class TestVerify:

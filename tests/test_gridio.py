@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import random
+import subprocess
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import numpy as np
 import pytest
@@ -197,11 +200,12 @@ class TestGoldenBytes:
     repeats = 1
 
     @pytest.fixture(autouse=True)
-    def _workers(self, usable_cpus, pools):
-        """One usable CPU starts no pool; more start one of that size per file."""
+    def _workers(self, usable_cpus, writer_threads):
+        """One usable CPU starts no thread; more render each chunk stream (the CSV
+        rows, the JSON im and re arrays) on that many threads."""
         usable_cpus(self.workers)
         yield
-        assert pools == ([self.workers] * 2 if self.workers > 1 else [])
+        assert writer_threads == ([self.workers] * 3 if self.workers > 1 else [])
 
     @pytest.mark.parametrize("shape", [(9,), (3, 5), (2, 3, 4)])
     @pytest.mark.parametrize("chunk_offset", [-1, 0, 1])
@@ -252,8 +256,8 @@ class TestGoldenBytes:
 
 
 class TestGoldenBytesForked(TestGoldenBytes):
-    """The same cases with two usable CPUs, on outputs of four chunks or more, so that
-    each file is formatted by a pool of two threads."""
+    """The same cases with two usable CPUs, on chunk streams of four chunks or more, so
+    that each stream is rendered on two threads."""
 
     workers = 2
     repeats = 4
@@ -272,12 +276,12 @@ class TestCliCsvGoldenBytes:
     workers = 1
 
     @pytest.fixture(autouse=True)
-    def _workers(self, usable_cpus, pools):
-        """Only the CSV goes through the chunk writer: a pool of ``workers`` threads
-        when that is two or more."""
+    def _workers(self, usable_cpus, writer_threads):
+        """Only the CSV goes through the chunk writer: on ``workers`` threads when that
+        is two or more."""
         usable_cpus(self.workers)
         yield
-        assert pools == ([self.workers] if self.workers > 1 else [])
+        assert writer_threads == ([self.workers] if self.workers > 1 else [])
 
     def test_gouy_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_floattext, "BLOCK", 7)
@@ -311,28 +315,39 @@ class TestCliCsvGoldenBytes:
 
 class TestCliCsvGoldenBytesForked(TestCliCsvGoldenBytes):
     """The same CLI runs with two usable CPUs; their CSVs have four chunks or more, so
-    the chunks go to two pool threads."""
+    the chunks are rendered on two threads."""
 
     workers = 2
 
 
 # ---------------------------------------------------------------------------
-# The chunk thread pool: how many threads start, and failures inside them.
+# The chunk writer's threads: how many start, the order of the writes, and
+# failures inside them.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The thread counts of the pools started while a test runs."""
-    started = []
-    start = ThreadPoolExecutor.__init__
+def writer_threads(monkeypatch):
+    """The thread count, the caller's included, of each writer ``run_blocks`` call that
+    started threads while a test runs."""
+    started, counts = [0], []
+    thread_start, run_blocks = threading.Thread.start, gridio.run_blocks
 
-    def counting_init(pool, max_workers=None, *args, **kwargs):
-        started.append(max_workers)
-        start(pool, max_workers, *args, **kwargs)
+    def counting_start(thread):
+        started[0] += 1
+        thread_start(thread)
 
-    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
-    return started
+    def counting_run_blocks(run, blocks):
+        before = started[0]
+        try:
+            run_blocks(run, blocks)
+        finally:
+            if started[0] > before:
+                counts.append(started[0] - before + 1)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(gridio, "run_blocks", counting_run_blocks)
+    return counts
 
 
 def _run_within(seconds, fn, *args):
@@ -373,33 +388,55 @@ def _render_fails_after_first_chunk(monkeypatch):
     return raised_in
 
 
+class _CountingSink:
+    """A file that keeps each write, and a ``render`` for ``_write_chunks`` that records,
+    as each chunk finishes, how many finished chunks are not yet written."""
+
+    def __init__(self, pause=None):
+        self.written, self.waiting = [], []
+        self._finished = 0
+        self._lock = threading.Lock()
+        self._pause = pause
+
+    def write(self, data):
+        self.written.append(data)
+
+    def render(self, start, stop):
+        if self._pause:
+            self._pause()
+        with self._lock:
+            self._finished += 1
+            self.waiting.append(self._finished - len(self.written))
+        return b"%d," % start
+
+
 class TestWorkers:
     @pytest.fixture(autouse=True)
     def _threads_joined(self):
-        """Every pool thread has finished when a writer returns or raises."""
+        """Every writer thread has finished when a writer returns or raises."""
         before = threading.active_count()
         yield
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("writer", [save_csv, save_json])
-    def test_one_chunk_starts_no_process(self, writer, rng, tmp_path, monkeypatch, pools,
-                                         usable_cpus):
-        """No pool, and so no thread or process, for a one-chunk output."""
+    def test_one_chunk_starts_no_process(self, writer, rng, tmp_path, monkeypatch,
+                                         writer_threads, usable_cpus):
+        """No thread or process for a one-chunk output."""
         usable_cpus(8)
-        monkeypatch.setattr(_floattext, "BLOCK", 30)  # JSON: 15 im + 15 re values
+        monkeypatch.setattr(_floattext, "BLOCK", 30)  # JSON: one chunk per array of 15 values
         writer(_random_grid(rng, (5, 3)), tmp_path / "one")
-        assert pools == []
+        assert writer_threads == []
 
     @pytest.mark.parametrize("cpus, chunks, expected",
                              [(8, 3, 0), (2, 4, 2), (8, 7, 3), (1, 3, 0), (1, 8, 0),
                               (64, 200, 3)])
-    def test_worker_count(self, cpus, chunks, expected, rng, tmp_path, monkeypatch, pools,
-                          usable_cpus):
-        """min(usable CPUs, chunks // 2, MAX_THREADS) threads; no pool below two."""
+    def test_worker_count(self, cpus, chunks, expected, rng, tmp_path, monkeypatch,
+                          writer_threads, usable_cpus):
+        """min(usable CPUs, chunks // 2, MAX_THREADS) threads; the caller alone below two."""
         usable_cpus(cpus)
         monkeypatch.setattr(_floattext, "BLOCK", 5)
         save_csv(_random_grid(rng, (chunks * 5,)), tmp_path / "f.csv")
-        assert pools == ([expected] if expected else [])
+        assert writer_threads == ([expected] if expected else [])
 
     @pytest.mark.parametrize("writer", [save_csv, save_json])
     def test_worker_exception_reaches_caller(self, writer, rng, tmp_path, monkeypatch,
@@ -409,49 +446,87 @@ class TestWorkers:
         raised_in = _render_fails_after_first_chunk(monkeypatch)
         error = _run_within(60, writer, _random_grid(rng, (6, 5)), tmp_path / "f")
         assert isinstance(error, ValueError) and "render failed" in str(error)
-        assert raised_in and threading.main_thread() not in raised_in
+        assert raised_in
 
     def test_chunks_in_flight_bounded(self, monkeypatch, usable_cpus):
-        """At most two chunks per thread are submitted ahead of the writer."""
+        """At most one finished chunk per thread waits to be written."""
         usable_cpus(2)
         monkeypatch.setattr(_floattext, "BLOCK", 1)
-        written, ahead = [], []
-        submit = ThreadPoolExecutor.submit
+        sink = _CountingSink()
+        assert _run_within(60, gridio._write_chunks, sink, sink.render, 20) is None
+        assert b"".join(sink.written) == b"".join(b"%d," % i for i in range(20))
+        assert len(sink.waiting) == 20 and max(sink.waiting) <= 2
 
-        def counting_submit(pool, fn, *args):
-            ahead.append(len(ahead) + 1 - len(written))
-            return submit(pool, fn, *args)
-
-        class Sink:
-            def write(self, data):
-                written.append(data)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
-        gridio._write_chunks(Sink(), lambda start, stop: b"%d," % start, 20)
-        assert b"".join(written) == b"".join(b"%d," % i for i in range(20))
-        assert max(ahead) == 4
+    def test_ordering_rule_under_contention(self, monkeypatch, usable_cpus, writer_threads):
+        """Three threads over 200 one-item chunks that each take a random few
+        microseconds, switching as often as the interpreter allows: every chunk is
+        written once and in order, and at most one finished chunk per thread waits."""
+        usable_cpus(3)
+        monkeypatch.setattr(_floattext, "BLOCK", 1)
+        pauses = random.Random(29)
+        sink = _CountingSink(lambda: time.sleep(pauses.uniform(1e-6, 5e-5)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _run_within(60, gridio._write_chunks, sink, sink.render, 200) is None
+        finally:
+            sys.setswitchinterval(interval)
+        assert writer_threads == [3]
+        assert sink.written == [b"%d," % i for i in range(200)]
+        assert max(sink.waiting) <= 3
 
     @pytest.mark.parametrize("block", [4, 5])
     def test_bytes_independent_of_thread_count(self, block, rng, tmp_path, monkeypatch,
-                                               usable_cpus, pools):
+                                               usable_cpus, writer_threads):
         """1, 2 and 3 threads write the reference bytes; with 30 values per
-        JSON array, a 4-value chunk spans the switch from im to re and a
-        5-value chunk starts at it. Both files have six chunks or more."""
+        JSON array, the last 4-value chunk of each array is short and the
+        5-value chunks fill it. Every chunk stream has six chunks or more."""
         monkeypatch.setattr(_floattext, "BLOCK", block)
         grid = _random_grid(rng, (6, 5))
         for workers in (1, 2, 3):
             usable_cpus(workers)
-            pools.clear()
+            writer_threads.clear()
             _assert_same_bytes(grid, tmp_path)
-            assert pools == ([workers] * 2 if workers > 1 else [])
+            assert writer_threads == ([workers] * 3 if workers > 1 else [])
 
     @pytest.mark.parametrize("writer", [save_csv, save_json])
-    def test_never_forks(self, writer, rng, tmp_path, monkeypatch, pools, usable_cpus):
+    def test_never_forks(self, writer, rng, tmp_path, monkeypatch, writer_threads,
+                         usable_cpus):
         usable_cpus(2)
         monkeypatch.setattr(_floattext, "BLOCK", 4)
         monkeypatch.setattr(os, "fork", _no_fork)
         writer(_random_grid(rng, (6, 5)), tmp_path / "f")
-        assert pools == [2]
+        assert writer_threads == [2] * (2 if writer is save_json else 1)
+
+
+def test_field_run_loads_no_thread_pool(tmp_path):
+    """A ``beam field`` run whose writers render on three threads loads neither
+    ``concurrent.futures`` nor the ``logging`` it imports."""
+    config = tmp_path / "field.json"
+    config.write_text(json.dumps({"beam": {"k": 50}, "modes": [[1, 0]], "grid": {"axes": [
+        {"name": "x1", "min": -2.0, "max": 2.0, "count": 300},
+        {"name": "x3", "min": 0.0, "max": 9.0, "count": 300}]}}))
+    # 90,000 rows and values per array are six chunks each: three threads per stream
+    code = (
+        "import sys\n"
+        "from exactbeam import _threads\n"
+        "_threads.usable_cpus = lambda: 3\n"
+        "from exactbeam.cli import main\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    out = sys.argv[2] + '.' + fmt\n"
+        "    assert main(['field', '--config', sys.argv[1], '--out', out, '--format', fmt,\n"
+        "                 '--natural-units']) == 0\n"
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gridio.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "wrote 90000 grid points" in result.stdout
+    loaded = set(result.stderr.split())
+    assert "exactbeam._floattext" in loaded
+    assert not {"concurrent", "concurrent.futures", "logging"} & loaded
 
 
 class TestUsableCpus:

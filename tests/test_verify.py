@@ -559,6 +559,7 @@ def test_cli_import_leaves_out_scipy():
 
 
 def test_cli_import_leaves_out_process_pools():
-    """gridio imports the thread pool and the float encoder only when it writes."""
+    """No module imports a process or thread pool, and gridio imports the float encoder
+    only when it writes."""
     loaded = _modules_loaded_by_cli_import()
     assert not {"multiprocessing", "concurrent", "exactbeam._floattext"} & loaded
