@@ -34,13 +34,8 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def worker_count(blocks: int) -> int:
-    """Threads for a job of ``blocks`` blocks; below 2 means the calling thread alone."""
-    return min(usable_cpus(), blocks // 2, MAX_THREADS)
-
-
 def run_blocks(run, blocks) -> None:
-    """Call ``run(*block)`` for every block, on ``worker_count(len(blocks))`` threads.
+    """Call ``run(*block)`` for every block, on min(usable CPUs, blocks // 2, MAX_THREADS) threads.
 
     The calling thread takes blocks too, and the others take the next one
     from a shared queue whenever they finish one, so a slower CPU does
@@ -51,7 +46,7 @@ def run_blocks(run, blocks) -> None:
     The first exception stops the hand-out and is raised in the caller
     once every thread has finished its block.
     """
-    workers = worker_count(len(blocks))
+    workers = min(usable_cpus(), len(blocks) // 2, MAX_THREADS)
     if workers < 2:
         for block in blocks:
             run(*block)
