@@ -202,8 +202,8 @@ def _axis(name, lo, hi, count):
     return {"name": name, "min": lo, "max": hi, "count": count}
 
 
-#: One grid per quantity and per psi time mode, each with a coordinate swept on
-#: three axes, or on two where the quantity has no more.
+#: One grid per quantity and per psi time mode, over three axes (two for the
+#: angular limit, which has no more).
 SPARSE_GRID_CASES = {
     "psi-explicit-t": {"modes": [[2, 1]], "grid": {
         "axes": [_axis("x1", -2.0, 2.0, 7), _axis("x3", -20.0, 30.0, 6), _axis("t", 0.0, 9.0, 5)],
@@ -232,9 +232,8 @@ class TestSparseGrid:
         doc = {"beam": {"k": 50}, **SPARSE_GRID_CASES[case]}
         path = config_path(tmp_path, doc)
         config = load_config(path, natural_units=True)
-        for ax, coords in zip(config.axes, map(cli._grid_coordinates(config).get,
-                                               (ax.name for ax in config.axes))):
-            assert coords.size == ax.count
+        coords = cli._grid_coordinates(config)
+        assert [coords[ax.name].size for ax in config.axes] == [ax.count for ax in config.axes]
         monkeypatch.setattr(beam, "BLOCK_POINTS", 5)
         monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
         written = {}
